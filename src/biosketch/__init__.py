@@ -20,7 +20,6 @@ from .codes import (
     OperatingAssumptionWarning,
     binary_entropy,
     build_coset_table,
-    decode_min_weight,
     error_exponent,
     far_bound,
     frr_bound,

@@ -29,6 +29,7 @@ from .harness import (
 from .leakage import (
     LeakageReport,
     exact_mutual_info,
+    exact_single_system_fits,
     exact_single_system_leakage,
     leakage_rank_bound,
     single_system_leakage,
@@ -109,7 +110,7 @@ def _cmd_leakage(args) -> int:
                               tau=config.scalar_tau(), code=codes[0])
         for query in ("S", "K", "S,K"):
             reports.append(single_system_leakage(params, query))
-            if codes[0].n <= 10 and args.exact:
+            if args.exact and exact_single_system_fits(params):
                 reports.append(exact_single_system_leakage(params, query))
     else:
         exposed_S = set(config.exposed_S)

@@ -4,6 +4,15 @@ A code is an [n, k] pair (G, H) with m = n - k syndrome bits.  Decoding is
 exact minimum-weight syndrome decoding from a prebuilt coset-leader table,
 capped at m <= 24 (2^m entries); beyond that the library refuses rather
 than silently approximating.
+
+The table holds, for every syndrome, the lexicographically first of its
+minimum-weight error patterns, packed LSB-first into ceil(n/8) bytes.  It
+is filled breadth first with numpy: the weight-w leaders are the
+weight-(w-1) leaders plus one column of H past their last position, and
+the first candidate to reach an unfilled syndrome wins.  Codes with
+m <= 4 use a scalar enumeration instead, which is faster on such tiny
+tables.  At n = 63 a build took about 0.02 s at m = 14, 0.08 s at m = 16
+and 0.7-0.8 s at m = 20 (under 80 MB peak RSS) on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -26,6 +35,10 @@ from .gf2 import (
 )
 
 COSET_TABLE_MAX_M = 24
+# codes with m up to this use the scalar fill, which is faster on tiny tables
+SCALAR_FILL_MAX_M = 4
+# candidates per chunk of the breadth-first fill (~40 MB of temporaries)
+FILL_CHUNK_CANDIDATES = 1 << 20
 
 _LOG2E = math.log2(math.e)
 
@@ -107,50 +120,51 @@ def syndrome(code: LinearCode, x: BitVec) -> BitVec:
 class CosetLeaderTable:
     """Minimum-weight coset leaders for all 2^m syndromes.
 
-    The syndrome's packed integer value is its index.  Read-only once
-    built; safe to share across threads.
+    The syndrome's packed integer value is its row index.  ``weights`` holds
+    each leader's weight (uint8) and ``packed_leaders`` the leaders packed
+    LSB-first, shape (2^m, ceil(n/8)) uint8.  Read-only once built; safe to
+    share across threads.
     """
 
-    def __init__(self, n: int, m: int, leaders: list[int], weights: np.ndarray):
+    def __init__(self, n: int, m: int, packed_leaders: np.ndarray, weights: np.ndarray):
         self.n = n
         self.m = m
-        self.leaders = leaders
+        self.packed_leaders = packed_leaders
         self.weights = weights
-        self._packed: np.ndarray | None = None
 
     def leader(self, s: BitVec) -> BitVec:
         if s.n != self.m:
             raise ValueError(f"syndrome length mismatch: expected {self.m}, got {s.n}")
-        return BitVec(self.n, self.leaders[s.bits])
+        return BitVec(self.n, int.from_bytes(self.packed_leaders[s.bits].tobytes(), "little"))
 
     def weight(self, s: BitVec) -> int:
         if s.n != self.m:
             raise ValueError(f"syndrome length mismatch: expected {self.m}, got {s.n}")
         return int(self.weights[s.bits])
 
-    def packed_leaders(self) -> np.ndarray:
-        """Leaders packed LSB-first, shape (2^m, ceil(n/8)) uint8."""
-        if self._packed is None:
-            nbytes = (self.n + 7) // 8
-            raw = b"".join(x.to_bytes(nbytes, "little") for x in self.leaders)
-            self._packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.leaders), nbytes)
-        return self._packed
-
 
 def build_coset_table(code: LinearCode) -> CosetLeaderTable:
-    """Fill all 2^m coset leaders by increasing-weight enumeration.
+    """Fill all 2^m coset leaders, lightest first.
 
-    Error patterns are enumerated in increasing weight, positions in
-    lexicographic order, first hit wins; ties therefore resolve
-    deterministically (decisions depend only on the weight anyway).
+    Each syndrome gets the lexicographically first of its minimum-weight
+    error patterns (positions as a sorted tuple), so ties resolve
+    deterministically.  Codes with m <= SCALAR_FILL_MAX_M use a scalar
+    enumeration, larger ones the breadth-first numpy fill.
     """
     m, n = code.m, code.n
     if m > COSET_TABLE_MAX_M:
         raise ValueError(f"table too large: m={m} exceeds {COSET_TABLE_MAX_M}")
-    size = 1 << m
     col_synd = code.H.transpose().row_bits  # column j of H as an m-bit int
+    fill = _scalar_fill if m <= SCALAR_FILL_MAX_M else _breadth_first_fill
+    packed, weights = fill(n, m, col_synd)
+    return CosetLeaderTable(n, m, packed, weights)
+
+
+def _scalar_fill(n: int, m: int, col_synd: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate patterns by weight, positions in lexicographic order; first hit wins."""
+    size = 1 << m
     leaders = [0] * size
-    weights = np.full(size, -1, dtype=np.int16)
+    weights = [-1] * size
     weights[0] = 0
     filled = 1
     for w in range(1, n + 1):
@@ -170,14 +184,65 @@ def build_coset_table(code: LinearCode) -> CosetLeaderTable:
                     break
     if filled != size:
         raise AssertionError("parity check not full row rank: unreachable syndromes")
-    return CosetLeaderTable(n, m, leaders, weights.astype(np.uint8))
+    nbytes = (n + 7) // 8
+    raw = b"".join(x.to_bytes(nbytes, "little") for x in leaders)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(size, nbytes)
+    return packed, np.array(weights, dtype=np.uint8)
 
 
-def decode_min_weight(code: LinearCode, table: CosetLeaderTable, s: BitVec) -> BitVec:
-    """The minimum-weight vector whose syndrome is s."""
-    if s.n != code.m:
-        raise ValueError(f"syndrome length mismatch: expected {code.m}, got {s.n}")
-    return table.leader(s)
+def _breadth_first_fill(n: int, m: int, col_synd: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Fill weight w from the weight-(w-1) leaders, one level at a time.
+
+    The weight-w candidates are each weight-(w-1) leader L plus one column
+    j > max(L), walked in (rank of L, j) order, which is lexicographic
+    order.  The first candidate to reach a still-unfilled syndrome is its
+    leader.  This keeps the lexicographically-first tie-break because the
+    prefix of a lexicographically-first leader is itself the
+    lexicographically-first leader of its own syndrome.  The frontier is
+    walked in chunks of about FILL_CHUNK_CANDIDATES candidates, so memory
+    stays bounded.
+    """
+    size = 1 << m
+    cols = np.array(col_synd, dtype=np.int32)
+    weights = np.full(size, -1, dtype=np.int16)
+    weights[0] = 0
+    packed = np.zeros((size, (n + 7) // 8), dtype=np.uint8)
+    # the frontier: weight-(w-1) leaders in lexicographic order, as their
+    # syndromes and last (largest) positions
+    front_s = np.zeros(1, dtype=np.int32)
+    front_last = np.full(1, -1, dtype=np.int32)
+    filled = 1
+    rows_per_chunk = max(1, FILL_CHUNK_CANDIDATES // n)
+    for w in range(1, n + 1):
+        if filled == size or front_s.size == 0:
+            break
+        next_s, next_last = [], []
+        for lo in range(0, front_s.size, rows_per_chunk):
+            par_s = front_s[lo:lo + rows_per_chunk]
+            par_last = front_last[lo:lo + rows_per_chunk]
+            counts = n - 1 - par_last
+            parent = np.repeat(np.arange(par_s.size), counts)
+            starts = np.cumsum(counts) - counts
+            j = np.arange(parent.size) - (starts - par_last - 1)[parent]
+            cand = par_s[parent] ^ cols[j]
+            fresh = np.flatnonzero(weights[cand] < 0)
+            _, first = np.unique(cand[fresh], return_index=True)
+            keep = fresh[np.sort(first)]
+            s_new, j_new, p_new = cand[keep], j[keep], par_s[parent[keep]]
+            weights[s_new] = w
+            rows = packed[p_new]
+            rows[np.arange(keep.size), j_new >> 3] |= (1 << (j_new & 7)).astype(np.uint8)
+            packed[s_new] = rows
+            next_s.append(s_new)
+            next_last.append(j_new.astype(np.int32))
+            filled += keep.size
+            if filled == size:
+                break
+        front_s = np.concatenate(next_s)
+        front_last = np.concatenate(next_last)
+    if filled != size:
+        raise AssertionError("parity check not full row rank: unreachable syndromes")
+    return packed, weights.astype(np.uint8)
 
 
 def binary_entropy(p: float) -> float:

@@ -36,7 +36,7 @@ from .codes import (
 )
 from .gf2 import BitMatrix, Gf2Solver, load_matrix, residual_rank
 from .multisys import PRESET_NAMES, linkage_preset, sar_lower_bound
-from .schemes import Scheme, SystemParams
+from .schemes import Scheme, accept_threshold
 
 BATCH_TRIALS = 1 << 15
 WILSON_Z = 1.959963984540054  # 95% two-sided
@@ -76,6 +76,14 @@ class RateEstimate:
         return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """How to obtain the parity-check matrices for an experiment.
@@ -92,6 +100,14 @@ class CodeSpec:
     seed: int | None = None
     path: str | None = None
     name: str | None = None
+
+    def __post_init__(self):
+        for key in ("r", "n", "m", "seed"):
+            val = getattr(self, key)
+            if val is not None and not _is_int(val):
+                raise ValueError(f"code {key} must be an integer, got {val!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ValueError(f"code path must be a string, got {self.path!r}")
 
     def build(self) -> tuple[LinearCode, ...]:
         if self.kind == "hamming":
@@ -142,7 +158,8 @@ class ExperimentConfig:
     ``tau`` may be a tuple to request a sweep (one output row per value).
     Systems are numbered 1..u with u = len(enroll_noise); non-preset code
     specs are replicated across systems.  ``exposed_bio`` uses 0 for the
-    ground-truth biometric.
+    ground-truth biometric.  Construction validates every field, so a bad
+    config fails here with a ValueError rather than inside a run.
     """
 
     experiment_id: str
@@ -162,16 +179,34 @@ class ExperimentConfig:
     exposed_bio: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.experiment_id, str):
+            raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
         if self.metric not in ("frr", "far", "sar"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.scheme not in ("FC", "SS"):
             raise ValueError(f"scheme must be FC or SS, got {self.scheme!r}")
+        if not isinstance(self.keyed, bool):
+            raise ValueError(f"keyed must be true or false, got {self.keyed!r}")
         if self.metric == "sar" and self.attack not in ATTACK_TAGS:
             raise ValueError(f"sar metric needs an attack tag from {ATTACK_TAGS}")
+        for key in ("trials", "seed", "target"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        for tau in self.tau_values():
+            if not _is_real(tau) or not 0.0 < tau < 0.5:
+                raise ValueError(f"tau must be in (0, 0.5), got {tau!r}")
         if len(self.enroll_noise) != len(self.probe_noise):
             raise ValueError("noise lists must have equal length")
-        if not 1 <= self.target <= len(self.enroll_noise):
+        for key in ("enroll_noise", "probe_noise"):
+            for p in getattr(self, key):
+                if not _is_real(p) or not 0.0 <= p < 0.5:
+                    raise ValueError(f"{key} must lie in [0, 0.5), got {p!r}")
+        if not 1 <= self.target <= self.u:
             raise ValueError("target system out of range")
+        for key, low in (("exposed_S", 1), ("exposed_K", 1), ("exposed_bio", 0)):
+            for i in getattr(self, key):
+                if not _is_int(i) or not low <= i <= self.u:
+                    raise ValueError(f"{key} ids must be in {low}..{self.u}, got {i!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
 
@@ -201,18 +236,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
+        """Parse a config; every malformed input raises ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if not isinstance(data.get("code"), dict):
+            raise ValueError("config needs a code object")
         data["code"] = CodeSpec.from_dict(data["code"])
         for key in ("enroll_noise", "probe_noise", "exposed_S", "exposed_K", "exposed_bio"):
             if key in data:
+                if not isinstance(data[key], list):
+                    raise ValueError(f"{key} must be a list")
                 data[key] = tuple(data[key])
         if isinstance(data.get("tau"), list):
             data["tau"] = tuple(data["tau"])
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # missing required fields
+            raise ValueError(str(exc)) from exc
 
 
 def _batch_rng(seed: int, role: int, batch_idx: int) -> np.random.Generator:
@@ -237,20 +282,23 @@ def _bern_bits(rng: np.random.Generator, t: int, n: int, p: float) -> np.ndarray
 
 
 class _BatchSystem:
-    """Per-system precomputation for the vectorized kernels."""
+    """Per-system precomputation for the vectorized kernels.
 
-    def __init__(self, params: SystemParams, table: CosetLeaderTable):
-        self.params = params
-        code = params.code
+    Independent of tau: decisions take the acceptance threshold as an
+    argument, so one system serves every row of a tau sweep.
+    """
+
+    def __init__(self, code: LinearCode, scheme: Scheme, keyed: bool,
+                 table: CosetLeaderTable):
+        self.code = code
         self.n, self.m, self.k = code.n, code.m, code.k
-        self.scheme = params.scheme
-        self.keyed = params.keyed
-        self.threshold = params.threshold
+        self.scheme = scheme
+        self.keyed = keyed
         self.Ht = code.H.to_numpy().T.astype(np.float32)
         self.G = code.G.to_numpy().astype(np.float32)
         self.pows_m = (1 << np.arange(self.m)).astype(np.int64)
         self.weights = table.weights
-        self.packed_leaders = table.packed_leaders()
+        self.packed_leaders = table.packed_leaders
         # particular-solution matrix for H x = s, used by keyless SS stored attacks
         self.solve_H = Gf2Solver(code.H).particular_matrix().to_numpy().astype(np.float32)
 
@@ -284,8 +332,9 @@ class _BatchSystem:
         idx = q.astype(np.int64) @ self.pows_m
         return self.weights[idx]
 
-    def decide(self, D: np.ndarray, L: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return self.decode_weights(D, L, S) <= self.threshold
+    def decide(self, D: np.ndarray, L: np.ndarray, S: np.ndarray,
+               threshold: int) -> np.ndarray:
+        return self.decode_weights(D, L, S) <= threshold
 
 
 def _mul_bits(x: np.ndarray, M_rows_f32: np.ndarray) -> np.ndarray:
@@ -297,28 +346,35 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little")
 
 
-def _build_system(scheme: str, keyed: bool, tau: float, code: LinearCode) -> _BatchSystem:
-    params = SystemParams(scheme=Scheme(scheme), keyed=keyed, tau=tau, code=code)
-    return _BatchSystem(params, build_coset_table(code))
+class _RunPlan:
+    """The codes, coset tables and solver maps of one experiment.
 
+    Built once per run and shared by the bound, the estimator and every
+    tau row; only the acceptance threshold floor(tau n) depends on tau.
+    """
 
-def _systems_for(config: ExperimentConfig, tau: float) -> list[_BatchSystem]:
-    codes = config.code.build()
-    if len(codes) == 1 and config.u > 1:
-        codes = codes * config.u
-    if len(codes) != config.u:
-        raise ValueError(f"code spec yields {len(codes)} systems, config declares {config.u}")
-    if len({c.n for c in codes}) != 1:
-        raise ValueError("all systems must share the block length")
-    # identical codes share one table
-    cache: dict[int, _BatchSystem] = {}
-    out = []
-    for code in codes:
-        key = id(code)
-        if key not in cache:
-            cache[key] = _build_system(config.scheme, config.keyed, tau, code)
-        out.append(cache[key])
-    return out
+    def __init__(self, config: ExperimentConfig):
+        codes = config.code.build()
+        if len(codes) == 1 and config.u > 1:
+            codes = codes * config.u
+        if len(codes) != config.u:
+            raise ValueError(f"code spec yields {len(codes)} systems, config declares {config.u}")
+        if len({c.n for c in codes}) != 1:
+            raise ValueError("all systems must share the block length")
+        # systems with the same parity check share one table
+        cache: dict[BitMatrix, _BatchSystem] = {}
+        for code in codes:
+            if code.H not in cache:
+                cache[code.H] = _BatchSystem(code, Scheme(config.scheme), config.keyed,
+                                             build_coset_table(code))
+        self.systems = [cache[code.H] for code in codes]
+        self._linkage: dict[tuple, _LinkagePlan] = {}
+
+    def linkage(self, full_ids: tuple[int, ...], target: int) -> _LinkagePlan:
+        key = (full_ids, target)
+        if key not in self._linkage:
+            self._linkage[key] = _LinkagePlan(self.systems, full_ids, target)
+        return self._linkage[key]
 
 
 @dataclass(frozen=True)
@@ -330,16 +386,16 @@ class FrrBreakdown:
     decode_error: RateEstimate    # decoded leader != true error pattern
 
 
-def estimate_frr(config: ExperimentConfig) -> RateEstimate:
+def estimate_frr(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
     """Fresh (A0, A, B, K) per trial; fraction of legitimate rejections."""
-    return frr_breakdown(config).frr
+    return frr_breakdown(config, plan).frr
 
 
-def frr_breakdown(config: ExperimentConfig) -> FrrBreakdown:
+def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> FrrBreakdown:
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    tau = config.scalar_tau()
-    sysj = _systems_for(config, tau)[config.target - 1]
+    sysj = (plan or _RunPlan(config)).systems[config.target - 1]
+    threshold = accept_threshold(config.scalar_tau(), sysj.n)
     p1 = config.enroll_noise[config.target - 1]
     alpha = config.probe_noise[config.target - 1]
     rejects = excess = mismatch = 0
@@ -350,9 +406,9 @@ def frr_breakdown(config: ExperimentConfig) -> FrrBreakdown:
         B = A0 ^ _bern_bits(rng, t, sysj.n, alpha)
         enrolled = sysj.enroll_batch(A, rng)
         weights = sysj.decode_weights(B, enrolled["K"], enrolled["S"])
-        rejects += int(np.sum(weights > sysj.threshold))
+        rejects += int(np.sum(weights > threshold))
         err = A ^ B
-        excess += int(np.sum(err.sum(axis=1) > sysj.threshold))
+        excess += int(np.sum(err.sum(axis=1) > threshold))
         q = sysj.synd_bits(err).astype(np.int64) @ sysj.pows_m
         decoded = sysj.packed_leaders[q]
         mismatch += int(np.sum(np.any(decoded != _pack_rows(err), axis=1)))
@@ -363,12 +419,12 @@ def frr_breakdown(config: ExperimentConfig) -> FrrBreakdown:
     )
 
 
-def estimate_far(config: ExperimentConfig) -> RateEstimate:
+def estimate_far(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
     """Uninformed attack per trial against a fresh enrollment."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    tau = config.scalar_tau()
-    sysj = _systems_for(config, tau)[config.target - 1]
+    sysj = (plan or _RunPlan(config)).systems[config.target - 1]
+    threshold = accept_threshold(config.scalar_tau(), sysj.n)
     p1 = config.enroll_noise[config.target - 1]
     hits = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
@@ -378,7 +434,7 @@ def estimate_far(config: ExperimentConfig) -> RateEstimate:
         enrolled = sysj.enroll_batch(A, rng)
         C = _uniform_bits(rng, t, sysj.n)
         J = sysj.sample_key(rng, t)  # uniform when keyed, zero when keyless
-        hits += int(np.sum(sysj.decide(C, J, enrolled["S"])))
+        hits += int(np.sum(sysj.decide(C, J, enrolled["S"], threshold)))
     return RateEstimate.from_counts(hits, config.trials)
 
 
@@ -387,9 +443,9 @@ class _LinkagePlan:
 
     def __init__(self, systems: list[_BatchSystem], full_ids: tuple[int, ...], target: int):
         self.full_ids = full_ids
-        H_j = systems[target - 1].params.code.H
+        H_j = systems[target - 1].code.H
         if full_ids:
-            stacked = BitMatrix.stack([systems[i - 1].params.code.H for i in full_ids])
+            stacked = BitMatrix.stack([systems[i - 1].code.H for i in full_ids])
             self.residual = residual_rank([stacked], H_j)
             solver = Gf2Solver(stacked)
             self.solve_T = solver.particular_matrix().to_numpy().astype(np.float32)
@@ -444,19 +500,20 @@ def _validate_sar_scenario(config: ExperimentConfig, systems: list[_BatchSystem]
     return info
 
 
-def estimate_sar(config: ExperimentConfig) -> RateEstimate:
+def estimate_sar(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
     """Run the configured adversary against fresh multi-system enrollments."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    tau = config.scalar_tau()
-    systems = _systems_for(config, tau)
+    plan = plan or _RunPlan(config)
+    systems = plan.systems
     info = _validate_sar_scenario(config, systems)
     tag, j = info["tag"], info["j"]
     sysj = systems[j - 1]
-    plan = None
+    threshold = accept_threshold(config.scalar_tau(), sysj.n)
+    linkage = None
     if tag in ("rank-linked", "coset-sampling"):
-        plan = _LinkagePlan(systems, info["full_ids"], j)
-        if tag == "rank-linked" and plan.residual > 0:
+        linkage = plan.linkage(info["full_ids"], j)
+        if tag == "rank-linked" and linkage.residual > 0:
             raise ValueError("not rank-dependent: target adds residual rank")
     hits = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
@@ -466,8 +523,8 @@ def estimate_sar(config: ExperimentConfig) -> RateEstimate:
         for i, s in enumerate(systems):
             A_i = A0 ^ _bern_bits(rng, t, s.n, config.enroll_noise[i])
             enrolled.append(s.enroll_batch(A_i, rng))
-        C, J = _attack_batch(tag, info, plan, systems, enrolled, A0, rng, t)
-        hits += int(np.sum(sysj.decide(C, J, enrolled[j - 1]["S"])))
+        C, J = _attack_batch(tag, info, linkage, systems, enrolled, A0, rng, t)
+        hits += int(np.sum(sysj.decide(C, J, enrolled[j - 1]["S"], threshold)))
     return RateEstimate.from_counts(hits, config.trials)
 
 
@@ -579,11 +636,12 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
     for attr in ("tau", "keyed", "trials", "enroll_noise", "probe_noise", "target"):
         if getattr(fc_config, attr) != getattr(ss_config, attr):
             raise ValueError(f"configs disagree on {attr}")
-    tau = fc_config.scalar_tau()
-    fc_sys = _systems_for(fc_config, tau)[fc_config.target - 1]
-    ss_sys = _systems_for(ss_config, tau)[ss_config.target - 1]
+    fc_plan, ss_plan = _RunPlan(fc_config), _RunPlan(ss_config)
+    fc_sys = fc_plan.systems[fc_config.target - 1]
+    ss_sys = ss_plan.systems[ss_config.target - 1]
     if (fc_sys.n, fc_sys.m) != (ss_sys.n, ss_sys.m):
         raise ValueError("configs disagree on code parameters")
+    threshold = accept_threshold(fc_config.scalar_tau(), fc_sys.n)
     p1 = fc_config.enroll_noise[fc_config.target - 1]
     alpha = fc_config.probe_noise[fc_config.target - 1]
     agreements = 0
@@ -594,8 +652,8 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
         B = A0 ^ _bern_bits(rng, t, fc_sys.n, alpha)
         fc_enr = fc_sys.enroll_batch(A, rng)
         ss_enr = ss_sys.enroll_batch(A, rng)
-        fc_dec = fc_sys.decide(B, fc_enr["K"], fc_enr["S"])
-        ss_dec = ss_sys.decide(B, ss_enr["K"], ss_enr["S"])
+        fc_dec = fc_sys.decide(B, fc_enr["K"], fc_enr["S"], threshold)
+        ss_dec = ss_sys.decide(B, ss_enr["K"], ss_enr["S"], threshold)
         agreements += int(np.sum(fc_dec == ss_dec))
 
     j = fc_config.target
@@ -605,24 +663,26 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
     report = EquivalenceReport(
         coupled_trials=fc_config.trials,
         coupled_agreements=agreements,
-        frr_fc=estimate_frr(dataclasses.replace(fc_config, metric="frr", attack=None)),
+        frr_fc=estimate_frr(dataclasses.replace(fc_config, metric="frr", attack=None),
+                            fc_plan),
         frr_ss=estimate_frr(dataclasses.replace(ss_config, metric="frr", attack=None,
-                                                seed=ss_config.seed + 1)),
-        far_fc=estimate_far(dataclasses.replace(fc_config, metric="far", attack=None)),
+                                                seed=ss_config.seed + 1), ss_plan),
+        far_fc=estimate_far(dataclasses.replace(fc_config, metric="far", attack=None),
+                            fc_plan),
         far_ss=estimate_far(dataclasses.replace(ss_config, metric="far", attack=None,
-                                                seed=ss_config.seed + 1)),
+                                                seed=ss_config.seed + 1), ss_plan),
         sar_stored_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **stored)),
+            fc_config, trials=sar_trials, **stored), fc_plan),
         sar_stored_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **stored)),
+            ss_config, trials=sar_trials, **stored), ss_plan),
         sar_key_only_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **key_only)),
+            fc_config, trials=sar_trials, **key_only), fc_plan),
         sar_key_only_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **key_only)),
+            ss_config, trials=sar_trials, **key_only), ss_plan),
         sar_bio_only_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **bio_only)),
+            fc_config, trials=sar_trials, **bio_only), fc_plan),
         sar_bio_only_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **bio_only)),
+            ss_config, trials=sar_trials, **bio_only), ss_plan),
         storage_bits={"FC": fc_sys.n, "SS": ss_sys.m},
         key_bits={"FC": fc_sys.n if fc_config.keyed else 0,
                   "SS": ss_sys.m if ss_config.keyed else 0},
@@ -630,13 +690,14 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
     return report
 
 
-def _bound_for(config: ExperimentConfig, tau: float) -> float | None:
+def _bound_for(config: ExperimentConfig, plan: _RunPlan) -> float | None:
     """The applicable theoretical reference for the metric.
 
     Upper bounds for frr/far and the state-independent attack tags; lower
     bounds (certain or coset floor) for informed attacks.
     """
-    systems = _systems_for(config, tau)
+    tau = config.scalar_tau()
+    systems = plan.systems
     sysj = systems[config.target - 1]
     n, m = sysj.n, sysj.m
     j = config.target
@@ -644,7 +705,7 @@ def _bound_for(config: ExperimentConfig, tau: float) -> float | None:
         p = composite_crossover(config.enroll_noise[j - 1], config.probe_noise[j - 1])
         if p == 0.0:
             return 0.0
-        return frr_bound(n, p, tau, sysj.params.code.rate)
+        return frr_bound(n, p, tau, sysj.code.rate)
     if config.metric == "far":
         return far_bound(n, m, tau)
     tag = config.attack
@@ -654,13 +715,12 @@ def _bound_for(config: ExperimentConfig, tau: float) -> float | None:
         return 1.0
     if tag in ("rank-linked", "coset-sampling"):
         info = _validate_sar_scenario(config, systems)
-        plan = _LinkagePlan(systems, info["full_ids"], j)
-        return sar_lower_bound(plan.residual)
+        return sar_lower_bound(plan.linkage(info["full_ids"], j).residual)
     if tag == "substitute":
         p = composite_crossover(config.enroll_noise[j - 1], config.probe_noise[j - 1])
         if p == 0.0:
             return 1.0
-        return 1.0 - frr_bound(n, p, tau, sysj.params.code.rate)
+        return 1.0 - frr_bound(n, p, tau, sysj.code.rate)
     return None
 
 
@@ -710,8 +770,10 @@ def rows_to_csv(rows) -> str:
 def run_config(config: ExperimentConfig) -> ExperimentResult:
     """Execute the (possibly tau-swept) experiment; collect warning notes.
 
-    trials = 0 requests a bounds-only run.
+    trials = 0 requests a bounds-only run.  The codes, coset tables and
+    solver maps are built once and shared by every tau row.
     """
+    plan = _RunPlan(config)
     rows = []
     notes: list[str] = []
     for tau in config.tau_values():
@@ -720,8 +782,8 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
             else f"{sub.experiment_id}@tau={tau!r}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OperatingAssumptionWarning)
-            bound = _bound_for(sub, tau)
-            estimate = _ESTIMATORS[sub.metric](sub) if sub.trials > 0 else None
+            bound = _bound_for(sub, plan)
+            estimate = _ESTIMATORS[sub.metric](sub, plan) if sub.trials > 0 else None
         notes.extend(str(w.message) for w in caught
                      if issubclass(w.category, OperatingAssumptionWarning))
         rows.append(ExperimentRow(
@@ -738,7 +800,7 @@ def run_experiment(config_path, out_dir=None) -> ExperimentResult:
     config_path = Path(config_path)
     try:
         config = ExperimentConfig.from_json(config_path.read_text())
-    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from exc
     result = run_config(config)
     if out_dir is None:

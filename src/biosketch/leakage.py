@@ -18,6 +18,8 @@ from .gf2 import BitMatrix, Gf2Solver, stacked_rank
 from .schemes import Scheme, SystemParams
 
 EXACT_MAX_N = 10
+# 2^20 enumerated cases take ~7 s and ~0.4 GB (2-core x86 VM); 2^26 ran out of memory
+EXACT_MAX_ENUM_BITS = 20
 EXACT_MAX_SYSTEMS = 3
 EXACT_MAX_TABLE_BITS = 26
 UNIFORMITY_MAX_N = 12
@@ -78,15 +80,28 @@ def single_system_leakage(params: SystemParams, query="S") -> LeakageReport:
                                  "n": params.n, "m": params.m, "query": ",".join(parts)})
 
 
+def exact_single_system_fits(params: SystemParams) -> bool:
+    """The exact-enumeration guard: n <= 10 and at most 2^20 (A, Z, K) cases.
+
+    The enumerated bits are n for A, k for the FC codeword selector Z and
+    the key length when keyed: n + k + n for FC keyed, n + m for SS keyed.
+    """
+    bits = params.n + (params.code.k if params.scheme is Scheme.FUZZY_COMMITMENT else 0)
+    if params.keyed:
+        bits += params.key_len
+    return params.n <= EXACT_MAX_N and bits <= EXACT_MAX_ENUM_BITS
+
+
 def exact_single_system_leakage(params: SystemParams, query="S") -> LeakageReport:
     """The same quantity as single_system_leakage, by exact enumeration.
 
-    Enumerates (A, K[, Z]) for the scheme at hand; guarded to n <= 10.
+    Enumerates (A, K[, Z]) for the scheme at hand; refuses instances that
+    fail exact_single_system_fits.
     """
     parts = _normalize_query(query)
     code = params.code
     n, m, k = code.n, code.m, code.k
-    if n > EXACT_MAX_N:
+    if not exact_single_system_fits(params):
         raise ValueError("instance too large for exact oracle")
     Ht = code.H.to_numpy().T.astype(np.int64)
     Gt = code.G.to_numpy().astype(np.int64)  # k x n; codeword = z @ G

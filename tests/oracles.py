@@ -44,6 +44,22 @@ def exhaustive_min_weights(H: BitMatrix) -> list[int]:
     return best
 
 
+def exhaustive_lex_first_leaders(H: BitMatrix) -> list[int]:
+    """Per syndrome, the lexicographically first minimum-weight pattern.
+
+    Scans all 2^n vectors and ranks each by (weight, sorted positions), so
+    the result does not depend on any enumeration order.
+    """
+    n, m = H.cols, H.rows
+    best: list[tuple | None] = [None] * (1 << m)
+    for x in range(1 << n):
+        s = syndrome_int(H, x)
+        key = (x.bit_count(), tuple(j for j in range(n) if (x >> j) & 1))
+        if best[s] is None or key < best[s][0]:
+            best[s] = (key, x)
+    return [entry[1] for entry in best]
+
+
 def exhaustive_min_weights_chunked(H: BitMatrix, chunk_bits: int = 22) -> np.ndarray:
     """Same scan as exhaustive_min_weights, vectorized for larger n (n <= 64)."""
     n, m = H.cols, H.rows

@@ -174,3 +174,67 @@ def test_bad_config_exit_code(tmp_path, capsys):
     path.write_text("{")
     assert main(["simulate", "far", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("exposed_S", [0]),
+    ("exposed_K", [2]),
+    ("exposed_bio", [2]),
+    ("enroll_noise", [0.5]),
+    ("probe_noise", [0.6]),
+    ("trials", "100"),
+    ("seed", 1.5),
+    ("tau", 0.5),
+    ("exposed_S", 1),
+    ("code", {"kind": "random", "n": "10", "m": 5}),
+])
+def test_config_errors_exit_1(far_config, capsys, field, value):
+    blob = json.loads(far_config.read_text())
+    blob[field] = value
+    far_config.write_text(json.dumps(blob))
+    assert main(["simulate", "far", "--config", str(far_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_config_missing_field_exits_1(far_config, capsys):
+    blob = json.loads(far_config.read_text())
+    del blob["code"]
+    far_config.write_text(json.dumps(blob))
+    assert main(["simulate", "far", "--config", str(far_config)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_leakage_exact_skips_instances_over_the_enumeration_guard(tmp_path, capsys,
+                                                                   monkeypatch):
+    # FC keyed n=10, m=4 enumerates 2^(10+6+10) = 2^26 (A, Z, K) cases
+    import biosketch.cli as cli
+    import biosketch.leakage as leakage
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration attempted")
+
+    monkeypatch.setattr(cli, "exact_single_system_leakage", refuse)
+    monkeypatch.setattr(leakage, "_all_bits", refuse)
+    cfg = ExperimentConfig(
+        experiment_id="leak26", metric="frr", scheme="FC", keyed=True, tau=0.1,
+        code=CodeSpec(kind="random", n=10, m=4, seed=1), trials=0, seed=5)
+    path = tmp_path / "leak26.json"
+    path.write_text(cfg.to_json())
+    assert main(["leakage", "--exact", "--config", str(path)]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["method"] for r in reports] == ["rank-formula"] * 3
+
+
+def test_leakage_exact_still_enumerates_n7_fc_keyed(tmp_path, capsys):
+    # 2^(7+4+7) = 2^18 cases per query, inside the guard
+    cfg = ExperimentConfig(
+        experiment_id="leak18", metric="frr", scheme="FC", keyed=True, tau=0.1,
+        code=CodeSpec(kind="random", n=7, m=3, seed=1), trials=0, seed=5)
+    path = tmp_path / "leak18.json"
+    path.write_text(cfg.to_json())
+    assert main(["leakage", "--exact", "--config", str(path)]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    exact = {r["params"]["query"]: r["bits_leaked"] for r in reports
+             if r["method"] == "exact-enumeration"}
+    assert exact == pytest.approx({"S": 0.0, "K": 0.0, "S,K": 3.0}, abs=1e-9)

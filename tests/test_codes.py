@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from biosketch import codes
 from biosketch.codes import (
     LinearCode,
     OperatingAssumptionWarning,
     binary_entropy,
     build_coset_table,
-    decode_min_weight,
     error_exponent,
     far_bound,
     frr_bound,
@@ -24,7 +24,7 @@ from biosketch.codes import (
     syndrome,
 )
 from biosketch.gf2 import BitMatrix, BitVec, rank
-from oracles import exhaustive_min_weights, syndrome_int
+from oracles import exhaustive_lex_first_leaders, exhaustive_min_weights, syndrome_int
 
 
 class TestCodeConstruction:
@@ -104,7 +104,7 @@ class TestCosetTable:
     def test_leader_of_zero_syndrome_is_zero(self):
         rng = np.random.default_rng(32)
         table = build_coset_table(random_code(10, 4, rng))
-        assert table.leaders[0] == 0 and table.weights[0] == 0
+        assert not table.packed_leaders[0].any() and table.weights[0] == 0
 
     def test_refuses_large_m(self):
         code = hamming_code(3)
@@ -122,35 +122,69 @@ class TestCosetTable:
         table = build_coset_table(code)
         oracle = exhaustive_min_weights(code.H)
         for s in range(1 << m):
-            assert syndrome_int(code.H, table.leaders[s]) == s
-            assert table.weights[s] == oracle[s]
+            leader = table.leader(BitVec(m, s))
+            assert syndrome_int(code.H, leader.bits) == s
+            assert table.weights[s] == oracle[s] == leader.weight
+
+    @pytest.mark.parametrize("n,m,seed", [
+        (7, 3, 40), (10, 4, 41), (13, 4, 42),              # scalar fill
+        (10, 5, 43), (12, 7, 44), (14, 8, 45), (16, 6, 46),  # breadth-first fill
+    ])
+    def test_leaders_are_lexicographically_first(self, n, m, seed):
+        code = random_code(n, m, np.random.default_rng(seed))
+        assert (m <= codes.SCALAR_FILL_MAX_M) == (m <= 4)
+        table = build_coset_table(code)
+        leaders = exhaustive_lex_first_leaders(code.H)
+        assert list(table.weights) == exhaustive_min_weights(code.H)
+        for s in range(1 << m):
+            assert table.leader(BitVec(m, s)).bits == leaders[s]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_fill_matches_scalar_fill(self, monkeypatch, chunk):
+        code = random_code(40, 11, np.random.default_rng(47))
+        monkeypatch.setattr(codes, "SCALAR_FILL_MAX_M", 24)
+        scalar = build_coset_table(code)
+        monkeypatch.setattr(codes, "SCALAR_FILL_MAX_M", 0)
+        monkeypatch.setattr(codes, "FILL_CHUNK_CANDIDATES", chunk)
+        bfs = build_coset_table(code)
+        assert np.array_equal(bfs.weights, scalar.weights)
+        assert np.array_equal(bfs.packed_leaders, scalar.packed_leaders)
+
+    def test_breadth_first_fill_on_tiny_codes(self, monkeypatch):
+        monkeypatch.setattr(codes, "SCALAR_FILL_MAX_M", 0)
+        for code in (hamming_code(2), hamming_code(3),
+                     make_code_from_H(BitMatrix.from01_rows(["11"]))):
+            table = build_coset_table(code)
+            leaders = exhaustive_lex_first_leaders(code.H)
+            assert [table.leader(BitVec(code.m, s)).bits
+                    for s in range(1 << code.m)] == leaders
 
     def test_packed_leaders_layout(self):
         code = hamming_code(3)
         table = build_coset_table(code)
-        packed = table.packed_leaders()
-        assert packed.shape == (8, 1)
+        packed = table.packed_leaders
+        assert packed.shape == (8, 1) and packed.dtype == np.uint8
         for s in range(8):
-            assert int(packed[s, 0]) == table.leaders[s]
+            assert int(packed[s, 0]) == table.leader(BitVec(3, s)).bits
 
 
 class TestDecode:
     def test_zero_syndrome(self):
         code = hamming_code(3)
         table = build_coset_table(code)
-        assert decode_min_weight(code, table, BitVec.zeros(3)) == BitVec.zeros(7)
+        assert table.leader(BitVec.zeros(3)) == BitVec.zeros(7)
 
     def test_perfect_code_unit_errors(self):
         code = hamming_code(3)
         table = build_coset_table(code)
         for j in range(7):
             s = syndrome(code, BitVec.unit(7, j))
-            assert decode_min_weight(code, table, s) == BitVec.unit(7, j)
+            assert table.leader(s) == BitVec.unit(7, j)
 
     def test_repetition_weight_one(self):
         code = make_code_from_H(BitMatrix.from01_rows(["11"]))
         table = build_coset_table(code)
-        assert decode_min_weight(code, table, BitVec.from01("1")).weight == 1
+        assert table.leader(BitVec.from01("1")).weight == 1
 
     def test_decode_of_self_difference_is_zero(self):
         rng = np.random.default_rng(36)
@@ -158,14 +192,14 @@ class TestDecode:
         table = build_coset_table(code)
         a = BitVec(12, int(rng.integers(0, 1 << 12)))
         s = syndrome(code, a ^ a)
-        assert decode_min_weight(code, table, s).weight == 0
+        assert table.leader(s).weight == 0
 
     @given(st.integers(0, 31))
     def test_decoded_leader_lands_in_coset(self, s_bits):
         code = random_code(12, 5, np.random.default_rng(37))
         table = build_coset_table(code)
         s = BitVec(5, s_bits)
-        w_hat = decode_min_weight(code, table, s)
+        w_hat = table.leader(s)
         assert syndrome(code, w_hat) == s
 
 

@@ -116,6 +116,47 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             cfg(scheme="XX")
 
+    @pytest.mark.parametrize("field,ids", [("exposed_S", (0,)), ("exposed_S", (2,)),
+                                           ("exposed_K", (1, 0)), ("exposed_K", (-1,))])
+    def test_exposed_system_ids_in_1_to_u(self, field, ids):
+        # id 0 used to index systems[-1]
+        with pytest.raises(ValueError, match=f"{field} ids must be in 1..1"):
+            cfg(metric="sar", attack="coset-sampling", **{field: ids})
+
+    def test_exposed_bio_ids_in_0_to_u(self):
+        assert cfg(metric="sar", attack="substitute", exposed_bio=(0, 1)).exposed_bio == (0, 1)
+        with pytest.raises(ValueError, match="exposed_bio ids must be in 0..1"):
+            cfg(metric="sar", attack="substitute", exposed_bio=(2,))
+
+    @pytest.mark.parametrize("field", ["enroll_noise", "probe_noise"])
+    @pytest.mark.parametrize("p", [0.5, 0.7, -0.01])
+    def test_noise_in_half_open_unit_half(self, field, p):
+        with pytest.raises(ValueError, match=f"{field} must lie in"):
+            cfg(**{field: (p,)})
+
+    @pytest.mark.parametrize("field,value", [("trials", "100"), ("trials", 1.5),
+                                             ("seed", "7"), ("seed", None), ("trials", True)])
+    def test_trials_and_seed_are_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cfg(**{field: value})
+
+    def test_string_trials_in_json_is_a_value_error(self):
+        blob = json.loads(cfg().to_json())
+        blob["trials"] = "100"
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ExperimentConfig.from_json(json.dumps(blob))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, (0.1, 0.6), "0.1"])
+    def test_tau_in_open_unit_half(self, tau):
+        with pytest.raises(ValueError, match="tau must be in"):
+            cfg(tau=tau)
+
+    def test_missing_field_in_json_is_a_value_error(self):
+        blob = json.loads(cfg().to_json())
+        del blob["tau"]
+        with pytest.raises(ValueError, match="tau"):
+            ExperimentConfig.from_json(json.dumps(blob))
+
 
 class TestBatchAgreesWithRecordApi:
     """The vectorized kernel must reproduce schemes.authenticate exactly."""
@@ -126,7 +167,7 @@ class TestBatchAgreesWithRecordApi:
         code = random_code(12, 5, np.random.default_rng(171))
         params = SystemParams(scheme=scheme, keyed=keyed, tau=0.2, code=code)
         table = build_coset_table(code)
-        sysb = _BatchSystem(params, table)
+        sysb = _BatchSystem(code, scheme, keyed, table)
         rng = np.random.default_rng(172)
         t = 200
         A = rng.integers(0, 2, size=(t, 12), dtype=np.uint8)
@@ -414,6 +455,35 @@ class TestRunExperiment:
         result = run_config(cfg(tau=(0.05, 0.1, 0.2), trials=0))
         assert len(result.rows) == 3
         assert len({r.experiment_id for r in result.rows}) == 3
+
+    @pytest.mark.parametrize("metric,extra,tables", [
+        ("far", {}, 1),
+        ("frr", {}, 1),
+        ("sar", {"attack": "coset-sampling", "target": 3, "exposed_S": (1, 2),
+                 "exposed_K": (1, 2, 3), "enroll_noise": (0.0,) * 3,
+                 "probe_noise": (0.02,) * 3,
+                 "code": CodeSpec(kind="preset", name="example4", m=4, seed=5)}, 3),
+        # three systems with one parity check share one table
+        ("sar", {"attack": "uninformed", "enroll_noise": (0.0,) * 3,
+                 "probe_noise": (0.02,) * 3,
+                 "code": CodeSpec(kind="preset", name="example2", m=4, seed=5)}, 1),
+    ])
+    def test_tau_sweep_builds_once_and_matches_single_runs(self, monkeypatch, metric, extra,
+                                                           tables):
+        import biosketch.harness as harness
+        builds = []
+
+        def counting_build(code):
+            builds.append(code)
+            return build_coset_table(code)
+
+        monkeypatch.setattr(harness, "build_coset_table", counting_build)
+        taus = (0.05, 0.1, 0.2)
+        sweep = run_config(cfg(metric=metric, tau=taus, trials=3_000, **extra))
+        assert len(builds) == len({code.H for code in builds}) == tables
+        for row, tau in zip(sweep.rows, taus):
+            (single,) = run_config(cfg(metric=metric, tau=tau, trials=3_000, **extra)).rows
+            assert row == dataclasses.replace(single, experiment_id=f"t@tau={tau!r}")
 
     def test_warning_capture(self):
         # tau <= p violates the operating assumptions

@@ -11,6 +11,7 @@ from biosketch.leakage import (
     LeakageReport,
     check_syndrome_uniformity,
     exact_mutual_info,
+    exact_single_system_fits,
     exact_single_system_leakage,
     leakage_rank_bound,
     single_system_leakage,
@@ -79,6 +80,17 @@ class TestExactSingleSystem:
         big = random_code(12, 3, np.random.default_rng(151))
         with pytest.raises(ValueError, match="too large"):
             exact_single_system_leakage(params_for(big, SS, True), "S")
+
+    def test_guard_counts_enumerated_bits(self):
+        # FC keyed enumerates n + k + n bits, SS keyed n + m
+        fc10 = params_for(random_code(10, 4, np.random.default_rng(153)), FC, True)
+        assert not exact_single_system_fits(fc10)
+        with pytest.raises(ValueError, match="too large"):
+            exact_single_system_leakage(fc10, "S")
+        assert exact_single_system_fits(params_for(random_code(7, 3, np.random.default_rng(154)),
+                                                   FC, True))
+        assert exact_single_system_fits(params_for(random_code(10, 9, np.random.default_rng(155)),
+                                                   SS, True))
 
 
 class TestExactMutualInfo:
