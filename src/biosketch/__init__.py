@@ -72,7 +72,6 @@ from .harness import (
     estimate_sar,
     frr_breakdown,
     run_config,
-    run_experiment,
     wilson_interval,
 )
 from .leakage import (
@@ -85,7 +84,6 @@ from .leakage import (
 )
 from .multisys import (
     DesignReport,
-    MultiSystemConfig,
     design_search,
     linkage_preset,
     rank_profiles,

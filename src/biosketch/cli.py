@@ -4,6 +4,13 @@ Subcommands: simulate (frr|far|sar), bounds, equiv, leakage, linkage,
 design.  Experiment configs are JSON files with the ExperimentConfig
 fields; exit code 2 signals the run completed but violated an operating
 assumption.
+
+Every command prints its document on stdout and, with --out, writes the
+same text through `_write_out`.  simulate, bounds and linkage print what
+`harness.rows_to_csv` or `harness.summary_json` make of one `run_config`
+result.  The operating-assumption notes of a run are gathered by
+`harness.assumption_warnings` and reported by `_exit_status`, which prints
+one `warning:` line per note and returns the exit code.
 """
 
 from __future__ import annotations
@@ -12,21 +19,22 @@ import argparse
 import dataclasses
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .codes import OperatingAssumptionWarning
 from .gf2 import matrix_to_text
 from .harness import (
     CodeSpec,
     ExperimentConfig,
+    assumption_warnings,
     equivalence_report,
     rows_to_csv,
     run_config,
+    summary_json,
 )
 from .leakage import (
+    LEAKAGE_QUERIES,
     LeakageReport,
     exact_mutual_info,
     exact_single_system_fits,
@@ -49,22 +57,29 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _emit(args, config: ExperimentConfig, result) -> int:
-    text_csv = rows_to_csv(result.rows)
-    summary = json.dumps({
-        "config": json.loads(config.to_json()),
-        "rows": [dataclasses.asdict(r) for r in result.rows],
-        "warnings": list(result.warnings),
-    }, sort_keys=True, indent=2)
+def _write_out(args, files: dict[str, str]) -> None:
+    """Write each named text into the --out directory, if one was given."""
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{config.experiment_id}.csv").write_text(text_csv)
-        (out / f"{config.experiment_id}.summary.json").write_text(summary)
-    print(summary if args.format == "json" else text_csv, end="")
-    for note in result.warnings:
+        for name, text in files.items():
+            (out / name).write_text(text)
+
+
+def _exit_status(notes) -> int:
+    """Report operating-assumption notes on stderr; 2 if there were any, else 0."""
+    for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    return 2 if result.warnings else 0
+    return 2 if notes else 0
+
+
+def _emit(args, config: ExperimentConfig, result) -> int:
+    text_csv = rows_to_csv(result.rows)
+    summary = summary_json(config, result)
+    _write_out(args, {f"{config.experiment_id}.csv": text_csv,
+                      f"{config.experiment_id}.summary.json": summary})
+    print(summary if args.format == "json" else text_csv, end="")
+    return _exit_status(result.warnings)
 
 
 def _cmd_simulate(args) -> int:
@@ -83,32 +98,20 @@ def _cmd_equiv(args) -> int:
                              experiment_id=base.experiment_id + "-fc")
     ss = dataclasses.replace(base, scheme="SS", metric="frr", attack=None,
                              experiment_id=base.experiment_id + "-ss")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", OperatingAssumptionWarning)
-        report = equivalence_report(fc, ss, sar_trials=min(base.trials, 10_000) or 1_000)
-    blob = report.to_json()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{base.experiment_id}.equiv.json").write_text(blob)
+    blob = equivalence_report(fc, ss, sar_trials=min(base.trials, 10_000) or 1_000).to_json()
+    _write_out(args, {f"{base.experiment_id}.equiv.json": blob})
     print(blob)
-    notes = [str(w.message) for w in caught
-             if issubclass(w.category, OperatingAssumptionWarning)]
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    return 2 if notes else 0
+    return 0
 
 
 def _cmd_leakage(args) -> int:
     config = _load_config(args)
-    codes = config.code.build()
-    if len(codes) == 1 and config.u > 1:
-        codes = codes * config.u
+    codes = config.build_codes()
     reports = []
     if config.u == 1:
         params = SystemParams(scheme=Scheme(config.scheme), keyed=config.keyed,
                               tau=config.scalar_tau(), code=codes[0])
-        for query in ("S", "K", "S,K"):
+        for query in LEAKAGE_QUERIES:
             reports.append(single_system_leakage(params, query))
             if args.exact and exact_single_system_fits(params):
                 reports.append(exact_single_system_leakage(params, query))
@@ -129,10 +132,7 @@ def _cmd_leakage(args) -> int:
                 params={"l": len(full), "n": codes[0].n,
                         "note": "instance too large for exact oracle; bound only"}))
     blob = "[" + ",\n".join(r.to_json() for r in reports) + "]"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{config.experiment_id}.leakage.json").write_text(blob)
+    _write_out(args, {f"{config.experiment_id}.leakage.json": blob})
     print(blob)
     return 0
 
@@ -153,8 +153,7 @@ def _cmd_linkage(args) -> int:
 
 def _cmd_design(args) -> int:
     rng = np.random.default_rng(args.seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", OperatingAssumptionWarning)
+    with assumption_warnings() as notes:
         codes, report = design_search(args.u, args.m, args.n, args.L,
                                       objective=args.objective, rng=rng,
                                       restarts=args.restarts)
@@ -169,18 +168,10 @@ def _cmd_design(args) -> int:
         "objective": args.objective,
         "u": args.u, "m": args.m, "n": args.n,
     }, sort_keys=True, indent=2)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "design_matrices.txt").write_text(matrices)
-        (out / "design_report.json").write_text(report_json)
+    _write_out(args, {"design_matrices.txt": matrices, "design_report.json": report_json})
     print(matrices)
     print(report_json)
-    notes = [str(w.message) for w in caught
-             if issubclass(w.category, OperatingAssumptionWarning)]
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    return 2 if notes else 0
+    return _exit_status(notes)
 
 
 def build_parser() -> argparse.ArgumentParser:

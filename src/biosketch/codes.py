@@ -40,8 +40,6 @@ SCALAR_FILL_MAX_M = 4
 # candidates per chunk of the breadth-first fill (~40 MB of temporaries)
 FILL_CHUNK_CANDIDATES = 1 << 20
 
-_LOG2E = math.log2(math.e)
-
 
 class OperatingAssumptionWarning(UserWarning):
     """A bound was evaluated outside its stated operating assumptions."""
@@ -373,13 +371,3 @@ def far_bound(n: int, m: int, tau: float) -> float:
                       f"tau < 0.5, got m/n={m / n}, tau={tau}",
                       OperatingAssumptionWarning, stacklevel=2)
     return min(1.0, 2.0 ** (-(m - n * binary_entropy(tau))))
-
-
-def operating_assumption_violations(n: int, m: int, tau: float, p: float) -> list[str]:
-    """Check the operating regime m/n > h_b(tau) > h_b(p) with tau > p."""
-    out = []
-    if not (0.5 > tau > p):
-        out.append(f"need 0.5 > tau > p, got tau={tau}, p={p}")
-    if m / n <= binary_entropy(tau):
-        out.append(f"need m/n > h_b(tau), got m/n={m / n:.4f}, h_b(tau)={binary_entropy(tau):.4f}")
-    return out

@@ -6,18 +6,25 @@ batch-parallel executions are bit-identical and aggregation is a plain
 order-independent count.  Batch kernels vectorize the exact scheme
 algebra over numpy bit arrays; the per-record API in `schemes` and
 `adversary` is the reference implementation they are tested against.
+
+`run_config` turns a validated config into result rows: it builds the
+codes of its systems (`ExperimentConfig.build_codes`) and their coset
+tables once, and gathers every operating-assumption warning of the run
+through `assumption_warnings`, the one capture path.  `rows_to_csv` and
+`summary_json` are the only writers of a run's CSV and summary bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -108,31 +115,34 @@ class CodeSpec:
                 raise ValueError(f"code {key} must be an integer, got {val!r}")
         if self.path is not None and not isinstance(self.path, str):
             raise ValueError(f"code path must be a string, got {self.path!r}")
-
-    def build(self) -> tuple[LinearCode, ...]:
         if self.kind == "hamming":
             if self.r is None:
                 raise ValueError("hamming code needs r")
-            return (hamming_code(self.r),)
-        if self.kind == "random":
+        elif self.kind == "random":
             if self.n is None or self.m is None:
                 raise ValueError("random code needs n and m")
-            rng = np.random.default_rng(np.random.SeedSequence((0xC0DE, self.seed or 0)))
-            return (random_code(self.n, self.m, rng),)
-        if self.kind == "file":
+        elif self.kind == "file":
             if not self.path:
                 raise ValueError("file code needs path")
-            return (make_code_from_H(load_matrix(self.path)),)
-        if self.kind == "preset":
+        elif self.kind == "preset":
             if self.name not in PRESET_NAMES:
                 raise ValueError(f"unknown preset {self.name!r}")
             if self.m is None:
                 raise ValueError("preset needs m")
-            n = self.n if self.n is not None else 3 * self.m
-            rng = np.random.default_rng(np.random.SeedSequence((0xC0DE, self.seed or 0)))
-            mats = linkage_preset(self.name, self.m, n, rng)
-            return tuple(make_code_from_H(H) for H in mats)
-        raise ValueError(f"unknown code kind {self.kind!r}")
+        else:
+            raise ValueError(f"unknown code kind {self.kind!r}")
+
+    def build(self) -> tuple[LinearCode, ...]:
+        if self.kind == "hamming":
+            return (hamming_code(self.r),)
+        if self.kind == "file":
+            return (make_code_from_H(load_matrix(self.path)),)
+        rng = np.random.default_rng(np.random.SeedSequence((0xC0DE, self.seed or 0)))
+        if self.kind == "random":
+            return (random_code(self.n, self.m, rng),)
+        n = self.n if self.n is not None else 3 * self.m
+        mats = linkage_preset(self.name, self.m, n, rng)
+        return tuple(make_code_from_H(H) for H in mats)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -224,6 +234,17 @@ class ExperimentConfig:
 
     def with_tau(self, tau: float) -> ExperimentConfig:
         return dataclasses.replace(self, tau=tau)
+
+    def build_codes(self) -> tuple[LinearCode, ...]:
+        """The code of each system 1..u; a single-code spec serves every system."""
+        codes = self.code.build()
+        if len(codes) == 1 and self.u > 1:
+            codes = codes * self.u
+        if len(codes) != self.u:
+            raise ValueError(f"code spec yields {len(codes)} systems, config declares {self.u}")
+        if len({c.n for c in codes}) != 1:
+            raise ValueError("all systems must share the block length")
+        return codes
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -351,22 +372,21 @@ class _RunPlan:
 
     Built once per run and shared by the bound, the estimator and every
     tau row; only the acceptance threshold floor(tau n) depends on tau.
+    Systems with the same parity check share one coset table, also across
+    plans that are given the same ``tables`` dict.
     """
 
-    def __init__(self, config: ExperimentConfig):
-        codes = config.code.build()
-        if len(codes) == 1 and config.u > 1:
-            codes = codes * config.u
-        if len(codes) != config.u:
-            raise ValueError(f"code spec yields {len(codes)} systems, config declares {config.u}")
-        if len({c.n for c in codes}) != 1:
-            raise ValueError("all systems must share the block length")
-        # systems with the same parity check share one table
+    def __init__(self, config: ExperimentConfig,
+                 tables: dict[BitMatrix, CosetLeaderTable] | None = None):
+        codes = config.build_codes()
+        tables = {} if tables is None else tables
         cache: dict[BitMatrix, _BatchSystem] = {}
         for code in codes:
             if code.H not in cache:
+                if code.H not in tables:
+                    tables[code.H] = build_coset_table(code)
                 cache[code.H] = _BatchSystem(code, Scheme(config.scheme), config.keyed,
-                                             build_coset_table(code))
+                                             tables[code.H])
         self.systems = [cache[code.H] for code in codes]
         self._linkage: dict[tuple, _LinkagePlan] = {}
 
@@ -386,26 +406,40 @@ class FrrBreakdown:
     decode_error: RateEstimate    # decoded leader != true error pattern
 
 
-def estimate_frr(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
-    """Fresh (A0, A, B, K) per trial; fraction of legitimate rejections."""
-    return frr_breakdown(config, plan).frr
-
-
-def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> FrrBreakdown:
+def _target(config: ExperimentConfig, plan: _RunPlan | None) -> tuple[_BatchSystem, int]:
+    """The target system of a run and its acceptance threshold."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
     sysj = (plan or _RunPlan(config)).systems[config.target - 1]
-    threshold = accept_threshold(config.scalar_tau(), sysj.n)
+    return sysj, accept_threshold(config.scalar_tau(), sysj.n)
+
+
+def _legit_batches(config: ExperimentConfig, sysj: _BatchSystem):
+    """Per batch, fresh (A0, A, B, K) draws: yields (A, B, decoded weight)."""
     p1 = config.enroll_noise[config.target - 1]
     alpha = config.probe_noise[config.target - 1]
-    rejects = excess = mismatch = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
         rng = _batch_rng(config.seed, _ROLE_FRR, b_idx)
         A0 = _uniform_bits(rng, t, sysj.n)
         A = A0 ^ _bern_bits(rng, t, sysj.n, p1)
         B = A0 ^ _bern_bits(rng, t, sysj.n, alpha)
         enrolled = sysj.enroll_batch(A, rng)
-        weights = sysj.decode_weights(B, enrolled["K"], enrolled["S"])
+        yield A, B, sysj.decode_weights(B, enrolled["K"], enrolled["S"])
+
+
+def estimate_frr(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
+    """Fresh (A0, A, B, K) per trial; fraction of legitimate rejections."""
+    sysj, threshold = _target(config, plan)
+    rejects = sum(int(np.sum(weights > threshold))
+                  for _, _, weights in _legit_batches(config, sysj))
+    return RateEstimate.from_counts(rejects, config.trials)
+
+
+def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> FrrBreakdown:
+    """The draws of `estimate_frr`, with the FRR split into its two causes."""
+    sysj, threshold = _target(config, plan)
+    rejects = excess = mismatch = 0
+    for A, B, weights in _legit_batches(config, sysj):
         rejects += int(np.sum(weights > threshold))
         err = A ^ B
         excess += int(np.sum(err.sum(axis=1) > threshold))
@@ -421,10 +455,7 @@ def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> Frr
 
 def estimate_far(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
     """Uninformed attack per trial against a fresh enrollment."""
-    if config.trials <= 0:
-        raise ValueError("trials must be positive")
-    sysj = (plan or _RunPlan(config)).systems[config.target - 1]
-    threshold = accept_threshold(config.scalar_tau(), sysj.n)
+    sysj, threshold = _target(config, plan)
     p1 = config.enroll_noise[config.target - 1]
     hits = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
@@ -636,7 +667,8 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
     for attr in ("tau", "keyed", "trials", "enroll_noise", "probe_noise", "target"):
         if getattr(fc_config, attr) != getattr(ss_config, attr):
             raise ValueError(f"configs disagree on {attr}")
-    fc_plan, ss_plan = _RunPlan(fc_config), _RunPlan(ss_config)
+    tables: dict[BitMatrix, CosetLeaderTable] = {}
+    fc_plan, ss_plan = _RunPlan(fc_config, tables), _RunPlan(ss_config, tables)
     fc_sys = fc_plan.systems[fc_config.target - 1]
     ss_sys = ss_plan.systems[ss_config.target - 1]
     if (fc_sys.n, fc_sys.m) != (ss_sys.n, ss_sys.m):
@@ -743,8 +775,6 @@ class ExperimentRow:
 class ExperimentResult:
     rows: tuple[ExperimentRow, ...]
     warnings: tuple[str, ...]
-    csv_path: Path | None = None
-    json_path: Path | None = None
 
 
 CSV_COLUMNS = ("experiment_id", "metric", "p_hat", "ci_low", "ci_high",
@@ -767,6 +797,30 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+def summary_json(config: ExperimentConfig, result: ExperimentResult) -> str:
+    """The summary document of a run: its config, rows and warning notes."""
+    return json.dumps({
+        "config": json.loads(config.to_json()),
+        "rows": [dataclasses.asdict(r) for r in result.rows],
+        "warnings": list(result.warnings),
+    }, sort_keys=True, indent=2)
+
+
+@contextlib.contextmanager
+def assumption_warnings() -> Iterator[list[str]]:
+    """Collect the OperatingAssumptionWarning messages raised in the block.
+
+    Yields a list that, once the block exits, holds each distinct message
+    once, in the order it was first raised.
+    """
+    notes: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OperatingAssumptionWarning)
+        yield notes
+    notes.extend(dict.fromkeys(str(w.message) for w in caught
+                               if issubclass(w.category, OperatingAssumptionWarning)))
+
+
 def run_config(config: ExperimentConfig) -> ExperimentResult:
     """Execute the (possibly tau-swept) experiment; collect warning notes.
 
@@ -775,48 +829,17 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
     """
     plan = _RunPlan(config)
     rows = []
-    notes: list[str] = []
-    for tau in config.tau_values():
-        sub = config.with_tau(tau)
-        row_id = sub.experiment_id if len(config.tau_values()) == 1 \
-            else f"{sub.experiment_id}@tau={tau!r}"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", OperatingAssumptionWarning)
+    with assumption_warnings() as notes:
+        for tau in config.tau_values():
+            sub = config.with_tau(tau)
+            row_id = sub.experiment_id if len(config.tau_values()) == 1 \
+                else f"{sub.experiment_id}@tau={tau!r}"
             bound = _bound_for(sub, plan)
             estimate = _ESTIMATORS[sub.metric](sub, plan) if sub.trials > 0 else None
-        notes.extend(str(w.message) for w in caught
-                     if issubclass(w.category, OperatingAssumptionWarning))
-        rows.append(ExperimentRow(
-            experiment_id=row_id, metric=sub.metric,
-            p_hat=None if estimate is None else estimate.p_hat,
-            ci_low=None if estimate is None else estimate.ci_low,
-            ci_high=None if estimate is None else estimate.ci_high,
-            bound=bound, trials=sub.trials, seed=sub.seed))
-    return ExperimentResult(rows=tuple(rows), warnings=tuple(dict.fromkeys(notes)))
-
-
-def run_experiment(config_path, out_dir=None) -> ExperimentResult:
-    """Load a config file, run it, and write CSV rows plus a JSON summary."""
-    config_path = Path(config_path)
-    try:
-        config = ExperimentConfig.from_json(config_path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{config_path}: {exc}") from exc
-    result = run_config(config)
-    if out_dir is None:
-        return result
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.experiment_id}.csv"
-    csv_path.write_text(rows_to_csv(result.rows))
-    json_path = out_dir / f"{config.experiment_id}.summary.json"
-    json_path.write_text(_summary_json(config, result))
-    return dataclasses.replace(result, csv_path=csv_path, json_path=json_path)
-
-
-def _summary_json(config: ExperimentConfig, result: ExperimentResult) -> str:
-    return json.dumps({
-        "config": json.loads(config.to_json()),
-        "rows": [dataclasses.asdict(r) for r in result.rows],
-        "warnings": list(result.warnings),
-    }, sort_keys=True, indent=2)
+            rows.append(ExperimentRow(
+                experiment_id=row_id, metric=sub.metric,
+                p_hat=None if estimate is None else estimate.p_hat,
+                ci_low=None if estimate is None else estimate.ci_low,
+                ci_high=None if estimate is None else estimate.ci_high,
+                bound=bound, trials=sub.trials, seed=sub.seed))
+    return ExperimentResult(rows=tuple(rows), warnings=tuple(notes))

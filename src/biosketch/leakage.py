@@ -30,7 +30,7 @@ LEAKAGE_QUERIES = ("S", "K", "S,K")
 @dataclass(frozen=True)
 class LeakageReport:
     bits_leaked: float | None  # None when only a bound can be reported
-    method: str  # "exact-enumeration" | "rank-formula" | "monte-carlo"
+    method: str  # "exact-enumeration" | "rank-formula"
     bound: float | None = None
     params: dict = field(default_factory=dict)
 

@@ -25,32 +25,6 @@ RANK_PROFILE_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
-class MultiSystemConfig:
-    """A user enrolled at u devices; channel parameters, no sampled state."""
-
-    codes: tuple[LinearCode, ...]
-    enroll_noise: tuple[float, ...]
-    probe_noise: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.codes:
-            raise ValueError("need at least one system")
-        n = self.codes[0].n
-        if any(c.n != n for c in self.codes):
-            raise ValueError("all codes must share the block length n")
-        if len(self.enroll_noise) != len(self.codes) or len(self.probe_noise) != len(self.codes):
-            raise ValueError("need one noise pair per system")
-
-    @property
-    def u(self) -> int:
-        return len(self.codes)
-
-    @property
-    def n(self) -> int:
-        return self.codes[0].n
-
-
-@dataclass(frozen=True)
 class DesignReport:
     """Collective/residual rank profiles over all size-L subsets."""
 
@@ -61,23 +35,14 @@ class DesignReport:
     t_min: int
 
 
-def _matrices_of(config) -> list[BitMatrix]:
-    if isinstance(config, MultiSystemConfig):
-        return [c.H for c in config.codes]
-    out = []
-    for item in config:
-        out.append(item.H if isinstance(item, LinearCode) else item)
-    return out
-
-
-def rank_profiles(config, L: int) -> DesignReport:
+def rank_profiles(config: Sequence[LinearCode | BitMatrix], L: int) -> DesignReport:
     """Enumerate all size-L subsets and fill the rank profiles.
 
-    ``config`` may be a MultiSystemConfig or a sequence of codes/matrices.
+    ``config`` is a sequence of codes or parity-check matrices, one per system.
     Subsets are 1-based sorted index tuples in lexicographic order; t_min
     only ranges over targets outside the subset.
     """
-    mats = _matrices_of(config)
+    mats = [item.H if isinstance(item, LinearCode) else item for item in config]
     u = len(mats)
     if not 1 <= L <= u:
         raise ValueError(f"L must be in [1, {u}], got {L}")

@@ -32,6 +32,34 @@ def test_simulate_far_csv(far_config, tmp_path, capsys):
     assert (out / "cli-far.summary.json").exists()
 
 
+@pytest.mark.parametrize("fmt,printed_file", [
+    ("csv", "cli-far.csv"),
+    ("json", "cli-far.summary.json"),
+])
+def test_out_files_equal_stdout_and_repeat(far_config, tmp_path, capsys, fmt, printed_file):
+    printed = []
+    for run in ("out1", "out2"):
+        assert main(["simulate", "far", "--config", str(far_config), "--format", fmt,
+                     "--out", str(tmp_path / run)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert (tmp_path / "out1" / printed_file).read_text() == printed[0]
+    for name in ("cli-far.csv", "cli-far.summary.json"):
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+    blob = json.loads((tmp_path / "out1" / "cli-far.summary.json").read_text())
+    assert blob["config"]["experiment_id"] == "cli-far"
+    assert blob["rows"][0]["metric"] == "far"
+
+
+@pytest.mark.parametrize("command,out_file", [
+    (["equiv"], "cli-far.equiv.json"),
+    (["leakage", "--exact"], "cli-far.leakage.json"),
+])
+def test_out_file_equals_stdout(far_config, tmp_path, capsys, command, out_file):
+    assert main(command + ["--config", str(far_config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / out_file).read_text() + "\n" == capsys.readouterr().out
+
+
 def test_simulate_deterministic(far_config, capsys):
     assert main(["simulate", "far", "--config", str(far_config)]) == 0
     first = capsys.readouterr().out
@@ -195,6 +223,24 @@ def test_config_errors_exit_1(far_config, capsys, field, value):
     assert main(["simulate", "far", "--config", str(far_config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code,message", [
+    ({"kind": "bogus"}, "unknown code kind 'bogus'"),
+    ({"kind": "hamming"}, "hamming code needs r"),
+    ({"kind": "random", "n": 10}, "random code needs n and m"),
+    ({"kind": "file"}, "file code needs path"),
+    ({"kind": "preset", "name": "example9", "m": 4}, "unknown preset 'example9'"),
+    ({"kind": "preset", "name": "example1"}, "preset needs m"),
+])
+def test_code_spec_errors_exit_1(far_config, capsys, code, message):
+    with pytest.raises(ValueError, match=message):
+        CodeSpec.from_dict(code)  # rejected when the config is read, before any build
+    blob = json.loads(far_config.read_text())
+    blob["code"] = code
+    far_config.write_text(json.dumps(blob))
+    assert main(["simulate", "far", "--config", str(far_config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_missing_field_exits_1(far_config, capsys):

@@ -19,7 +19,6 @@ from biosketch.codes import (
     hamming_code,
     kl_bern,
     make_code_from_H,
-    operating_assumption_violations,
     random_code,
     syndrome,
 )
@@ -302,6 +301,9 @@ class TestBounds:
     def test_frr_bound_clamps_at_tau_equals_p(self):
         with pytest.warns(OperatingAssumptionWarning):
             assert frr_bound(50, 0.1, 0.1, 0.2) == 1.0
+        # tau below p
+        with pytest.warns(OperatingAssumptionWarning, match="tau > p"):
+            frr_bound(20, 0.2, 0.05, 0.5)
 
     def test_frr_bound_monotone_in_n(self):
         vals = [frr_bound(n, 0.05, 0.2, 0.2) for n in (50, 100, 200, 400)]
@@ -320,13 +322,11 @@ class TestBounds:
         m = n * binary_entropy(tau)
         with pytest.warns(OperatingAssumptionWarning):
             assert far_bound(n, m, tau) == 1.0
+        # m/n far below h_b(tau)
+        with pytest.warns(OperatingAssumptionWarning, match="m/n"):
+            assert far_bound(20, 2, 0.05) == 1.0
 
     def test_bounds_are_scheme_free(self):
         # identical inputs give identical bounds for FC and SS parameterizations
         assert far_bound(20, 10, 0.05) == far_bound(20, 10, 0.05)
         assert frr_bound(24, 0.02, 0.25, 0.15) == frr_bound(24, 0.02, 0.25, 0.15)
-
-    def test_assumption_checker(self):
-        assert operating_assumption_violations(20, 10, 0.05, 0.01) == []
-        assert operating_assumption_violations(20, 2, 0.05, 0.01)    # m/n too small
-        assert operating_assumption_violations(20, 10, 0.05, 0.2)    # tau below p

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -20,7 +21,6 @@ from biosketch.harness import (
     frr_breakdown,
     rows_to_csv,
     run_config,
-    run_experiment,
     wilson_interval,
 )
 from biosketch.schemes import (
@@ -209,6 +209,18 @@ class TestEstimateFrr:
                 tau=0.15, enroll_noise=(0.05,), probe_noise=(0.05,), trials=20_000)
         b = frr_breakdown(c)
         assert b.frr.hits <= b.weight_excess.hits + b.decode_error.hits
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"scheme": "FC", "keyed": False},
+        {"scheme": "FC", "code": CodeSpec(kind="hamming", r=4), "tau": 0.2},
+        {"keyed": False, "enroll_noise": (0.0,), "probe_noise": (0.05,)},
+        # two full batches and a partial one
+        {"trials": 70_000, "seed": 21},
+    ])
+    def test_estimate_equals_breakdown_frr(self, extra):
+        c = cfg(metric="frr", **{"trials": 20_000, **extra})
+        assert estimate_frr(c) == frr_breakdown(c).frr
 
     def test_matches_per_record_loop(self):
         c = cfg(metric="frr", code=CodeSpec(kind="hamming", r=3), tau=0.15,
@@ -416,6 +428,30 @@ class TestEquivalence:
         blob = json.loads(rep.to_json())
         assert blob["coupled_agreement"] == 1.0
 
+    @pytest.mark.parametrize("code,digest", [
+        (CodeSpec(kind="random", n=12, m=6, seed=12),
+         "95366db87528337de04bfd007f0e860542ee6baf8dc609d97ee9bb3a97d83f7d"),
+        (CodeSpec(kind="hamming", r=3),
+         "8595ef0e6497a5d5a0a7f73db4d1738bbc88f3b53383c3c4832ac11f32b0f226"),
+    ])
+    def test_schemes_share_one_table(self, monkeypatch, code, digest):
+        import biosketch.harness as harness
+        builds = []
+
+        def counting_build(c):
+            builds.append(c)
+            return build_coset_table(c)
+
+        monkeypatch.setattr(harness, "build_coset_table", counting_build)
+        shared = dict(metric="frr", keyed=True, tau=0.2, code=code,
+                      enroll_noise=(0.03,), probe_noise=(0.03,), trials=3_000, seed=13)
+        rep = equivalence_report(cfg(scheme="FC", experiment_id="fc", **shared),
+                                 cfg(scheme="SS", experiment_id="ss", **shared),
+                                 sar_trials=1_000)
+        assert len(builds) == 1
+        # the report recorded when each scheme built its own table
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
     def test_keyless_biometric_exposure_is_certain(self):
         shared = dict(metric="frr", keyed=False, tau=0.1,
                       code=CodeSpec(kind="random", n=12, m=6, seed=12),
@@ -436,14 +472,6 @@ class TestEquivalence:
 
 
 class TestRunExperiment:
-    def test_csv_deterministic(self, tmp_path):
-        c = cfg(trials=5_000)
-        (tmp_path / "c.json").write_text(c.to_json())
-        r1 = run_experiment(tmp_path / "c.json", tmp_path / "out1")
-        r2 = run_experiment(tmp_path / "c.json", tmp_path / "out2")
-        assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
-        assert r1.rows == r2.rows
-
     def test_bounds_only_run(self):
         result = run_config(cfg(trials=0))
         (row,) = result.rows
@@ -491,15 +519,7 @@ class TestRunExperiment:
                                 probe_noise=(0.2,), trials=0))
         assert result.warnings
 
-    def test_summary_json(self, tmp_path):
-        c = cfg(trials=1_000)
-        (tmp_path / "c.json").write_text(c.to_json())
-        result = run_experiment(tmp_path / "c.json", tmp_path / "out")
-        blob = json.loads(result.json_path.read_text())
-        assert blob["config"]["experiment_id"] == "t"
-        assert blob["rows"][0]["metric"] == "far"
-
     def test_bad_config_file(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(ValueError):
-            run_experiment(tmp_path / "bad.json")
+            ExperimentConfig.from_json((tmp_path / "bad.json").read_text())

@@ -7,7 +7,6 @@ from biosketch.codes import OperatingAssumptionWarning, make_code_from_H, random
 from biosketch.gf2 import BitMatrix, rank, stacked_rank
 from biosketch.multisys import (
     DesignReport,
-    MultiSystemConfig,
     design_search,
     linkage_preset,
     rank_profiles,
@@ -54,9 +53,7 @@ class TestRankProfiles:
     def test_accepts_codes_and_config(self):
         rng = np.random.default_rng(94)
         codes = tuple(random_code(9, 3, rng) for _ in range(2))
-        config = MultiSystemConfig(codes=codes, enroll_noise=(0.0, 0.0),
-                                   probe_noise=(0.1, 0.1))
-        assert rank_profiles(codes, 1) == rank_profiles(config, 1)
+        assert rank_profiles(codes, 1) == rank_profiles([c.H for c in codes], 1)
 
     def test_L_validation(self):
         rng = np.random.default_rng(95)
@@ -159,10 +156,3 @@ class TestPresets:
     def test_preset_validation(self, name, m, n):
         with pytest.raises(ValueError):
             linkage_preset(name, m, n, np.random.default_rng(0))
-
-
-def test_config_validation():
-    rng = np.random.default_rng(105)
-    codes = (random_code(8, 3, rng), random_code(9, 3, rng))
-    with pytest.raises(ValueError):
-        MultiSystemConfig(codes=codes, enroll_noise=(0.0, 0.0), probe_noise=(0.1, 0.1))
