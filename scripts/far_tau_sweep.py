@@ -16,7 +16,7 @@ import sys
 
 from biosketch.biomodel import composite_crossover
 from biosketch.codes import far_bound, frr_bound
-from biosketch.harness import CodeSpec, ExperimentConfig, estimate_far, estimate_frr
+from biosketch.harness import CodeSpec, ExperimentConfig, RunPlan, estimate_far, estimate_frr
 
 
 def main() -> int:
@@ -38,11 +38,14 @@ def main() -> int:
     rate = (args.n - args.m) / args.n
     p_eff = composite_crossover(args.p, args.alpha)
     rows = []
+    plan = None  # one code and coset table for every tau and both rates
     for tau in args.taus:
         base = dict(scheme="SS", keyed=True, tau=tau, code=spec, trials=args.trials,
                     seed=args.seed, enroll_noise=(args.p,), probe_noise=(args.alpha,))
-        frr = estimate_frr(ExperimentConfig(experiment_id="sweep", metric="frr", **base))
-        far = estimate_far(ExperimentConfig(experiment_id="sweep", metric="far", **base))
+        frr_config = ExperimentConfig(experiment_id="sweep", metric="frr", **base)
+        plan = plan or RunPlan(frr_config)
+        frr = estimate_frr(frr_config, plan)
+        far = estimate_far(ExperimentConfig(experiment_id="sweep", metric="far", **base), plan)
         rows.append({
             "tau": tau,
             "frr": frr.p_hat, "frr_lo": frr.ci_low, "frr_hi": frr.ci_high,

@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from biosketch.harness import CodeSpec, ExperimentConfig, estimate_far, estimate_sar
-from biosketch.multisys import linkage_preset, rank_profiles, sar_lower_bound
+from biosketch.harness import CodeSpec, ExperimentConfig, RunPlan, estimate_far, estimate_sar
+from biosketch.multisys import rank_profiles, sar_lower_bound
 
 ATTACK_FOR = {
     "example1": "rank-linked",
@@ -38,18 +36,18 @@ def main() -> int:
 
     print(f"{'preset':<10} {'attack':<15} {'residual t':>10} {'2^-t':>8} "
           f"{'SAR':>9} {'CI':>21} {'FAR':>9}")
+    tables = {}  # one coset table per distinct parity check across the presets
     for name, attack in ATTACK_FOR.items():
         spec = CodeSpec(kind="preset", name=name, m=args.m, seed=args.seed)
         base = dict(scheme="SS", keyed=True, tau=args.tau, code=spec,
                     trials=args.trials, seed=args.seed,
                     enroll_noise=(0.0,) * 3, probe_noise=(args.alpha,) * 3, target=3)
-        sar = estimate_sar(ExperimentConfig(
-            experiment_id=name, metric="sar", attack=attack,
-            exposed_S=(1, 2), exposed_K=(1, 2, 3), **base))
-        far = estimate_far(ExperimentConfig(experiment_id=name, metric="far", **base))
-        mats = linkage_preset(name, args.m, 3 * args.m, np.random.default_rng(
-            np.random.SeedSequence((0xC0DE, args.seed))))
-        report = rank_profiles(mats, L=2)
+        sar_config = ExperimentConfig(experiment_id=name, metric="sar", attack=attack,
+                                      exposed_S=(1, 2), exposed_K=(1, 2, 3), **base)
+        plan = RunPlan(sar_config, tables)
+        sar = estimate_sar(sar_config, plan)
+        far = estimate_far(ExperimentConfig(experiment_id=name, metric="far", **base), plan)
+        report = rank_profiles([system.code for system in plan.systems], L=2)
         t = report.t_profile[((1, 2), 3)]
         print(f"{name:<10} {attack:<15} {t:>10d} {sar_lower_bound(t):>8.4f} "
               f"{sar.p_hat:>9.5f} [{sar.ci_low:.5f}, {sar.ci_high:.5f}] {far.p_hat:>9.5f}")

@@ -66,6 +66,7 @@ from .harness import (
     EquivalenceReport,
     ExperimentConfig,
     RateEstimate,
+    RunPlan,
     equivalence_report,
     estimate_far,
     estimate_frr,

@@ -140,7 +140,7 @@ def _cmd_leakage(args) -> int:
 def _cmd_linkage(args) -> int:
     config = _load_config(args)
     if args.preset:
-        m = args.m or (config.code.m or 8)
+        m = args.m if args.m is not None else (config.code.m or 8)
         config = dataclasses.replace(
             config, code=CodeSpec(kind="preset", name=args.preset, m=m,
                                   seed=config.code.seed),

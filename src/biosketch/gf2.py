@@ -261,10 +261,30 @@ def _echelon(rows: list[int], cols: int) -> tuple[list[int], list[int], list[int
     return work, pivots, trans
 
 
+def reduce_into(basis: dict[int, int], rows: Sequence[int]) -> int:
+    """Reduce ``rows`` into an XOR basis keyed by leading bit; count the new rows.
+
+    ``basis`` maps a leading-bit index to the one basis row with that leading
+    bit.  Each row is XORed down by the basis rows of its successive leading
+    bits; a row that does not reduce to zero joins the basis.  The return
+    value is the rank added by ``rows``.
+    """
+    added = 0
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                added += 1
+                break
+            row ^= pivot
+    return added
+
+
 def rank(M: BitMatrix) -> int:
-    """GF(2) rank: pivot count of the row echelon form."""
-    _, pivots, _ = _echelon(list(M.row_bits), M.cols)
-    return len(pivots)
+    """GF(2) rank: the size of an XOR basis of the rows."""
+    return reduce_into({}, M.row_bits)
 
 
 def stacked_rank(mats: Sequence[BitMatrix]) -> int:

@@ -113,6 +113,10 @@ class CodeSpec:
             val = getattr(self, key)
             if val is not None and not _is_int(val):
                 raise ValueError(f"code {key} must be an integer, got {val!r}")
+        for key, least in (("r", 2), ("n", 1), ("m", 1)):
+            val = getattr(self, key)
+            if val is not None and val < least:
+                raise ValueError(f"code {key} must be >= {least}, got {val}")
         if self.path is not None and not isinstance(self.path, str):
             raise ValueError(f"code path must be a string, got {self.path!r}")
         if self.kind == "hamming":
@@ -367,13 +371,14 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little")
 
 
-class _RunPlan:
+class RunPlan:
     """The codes, coset tables and solver maps of one experiment.
 
     Built once per run and shared by the bound, the estimator and every
     tau row; only the acceptance threshold floor(tau n) depends on tau.
     Systems with the same parity check share one coset table, also across
-    plans that are given the same ``tables`` dict.
+    plans that are given the same ``tables`` dict.  Callers that run the
+    estimators directly pass one plan to every call on the same codes.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -406,11 +411,11 @@ class FrrBreakdown:
     decode_error: RateEstimate    # decoded leader != true error pattern
 
 
-def _target(config: ExperimentConfig, plan: _RunPlan | None) -> tuple[_BatchSystem, int]:
+def _target(config: ExperimentConfig, plan: RunPlan | None) -> tuple[_BatchSystem, int]:
     """The target system of a run and its acceptance threshold."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    sysj = (plan or _RunPlan(config)).systems[config.target - 1]
+    sysj = (plan or RunPlan(config)).systems[config.target - 1]
     return sysj, accept_threshold(config.scalar_tau(), sysj.n)
 
 
@@ -427,7 +432,7 @@ def _legit_batches(config: ExperimentConfig, sysj: _BatchSystem):
         yield A, B, sysj.decode_weights(B, enrolled["K"], enrolled["S"])
 
 
-def estimate_frr(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
+def estimate_frr(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
     """Fresh (A0, A, B, K) per trial; fraction of legitimate rejections."""
     sysj, threshold = _target(config, plan)
     rejects = sum(int(np.sum(weights > threshold))
@@ -435,7 +440,7 @@ def estimate_frr(config: ExperimentConfig, plan: _RunPlan | None = None) -> Rate
     return RateEstimate.from_counts(rejects, config.trials)
 
 
-def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> FrrBreakdown:
+def frr_breakdown(config: ExperimentConfig, plan: RunPlan | None = None) -> FrrBreakdown:
     """The draws of `estimate_frr`, with the FRR split into its two causes."""
     sysj, threshold = _target(config, plan)
     rejects = excess = mismatch = 0
@@ -453,7 +458,7 @@ def frr_breakdown(config: ExperimentConfig, plan: _RunPlan | None = None) -> Frr
     )
 
 
-def estimate_far(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
+def estimate_far(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
     """Uninformed attack per trial against a fresh enrollment."""
     sysj, threshold = _target(config, plan)
     p1 = config.enroll_noise[config.target - 1]
@@ -531,11 +536,11 @@ def _validate_sar_scenario(config: ExperimentConfig, systems: list[_BatchSystem]
     return info
 
 
-def estimate_sar(config: ExperimentConfig, plan: _RunPlan | None = None) -> RateEstimate:
+def estimate_sar(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
     """Run the configured adversary against fresh multi-system enrollments."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    plan = plan or _RunPlan(config)
+    plan = plan or RunPlan(config)
     systems = plan.systems
     info = _validate_sar_scenario(config, systems)
     tag, j = info["tag"], info["j"]
@@ -668,7 +673,7 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
         if getattr(fc_config, attr) != getattr(ss_config, attr):
             raise ValueError(f"configs disagree on {attr}")
     tables: dict[BitMatrix, CosetLeaderTable] = {}
-    fc_plan, ss_plan = _RunPlan(fc_config, tables), _RunPlan(ss_config, tables)
+    fc_plan, ss_plan = RunPlan(fc_config, tables), RunPlan(ss_config, tables)
     fc_sys = fc_plan.systems[fc_config.target - 1]
     ss_sys = ss_plan.systems[ss_config.target - 1]
     if (fc_sys.n, fc_sys.m) != (ss_sys.n, ss_sys.m):
@@ -722,7 +727,7 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
     return report
 
 
-def _bound_for(config: ExperimentConfig, plan: _RunPlan) -> float | None:
+def _bound_for(config: ExperimentConfig, plan: RunPlan) -> float | None:
     """The applicable theoretical reference for the metric.
 
     Upper bounds for frr/far and the state-independent attack tags; lower
@@ -827,7 +832,7 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
     trials = 0 requests a bounds-only run.  The codes, coset tables and
     solver maps are built once and shared by every tau row.
     """
-    plan = _RunPlan(config)
+    plan = RunPlan(config)
     rows = []
     with assumption_warnings() as notes:
         for tau in config.tau_values():

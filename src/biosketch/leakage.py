@@ -18,7 +18,10 @@ from .gf2 import BitMatrix, Gf2Solver, stacked_rank
 from .schemes import Scheme, SystemParams
 
 EXACT_MAX_N = 10
-# 2^20 enumerated cases take ~7 s and ~0.4 GB (2-core x86 VM); 2^26 ran out of memory
+# 2^20 enumerated cases (FC keyed n=8, m=4, all three queries) take ~0.9 s and
+# ~0.35 GB peak RSS on a 2-core x86 VM, most of it the dense S,K joint table
+# (2^n rows, up to 2^(n + key length) columns); at 2^26 (FC keyed n=10, m=4)
+# that table alone would hold 2^30 entries, 8 GB
 EXACT_MAX_ENUM_BITS = 20
 EXACT_MAX_SYSTEMS = 3
 EXACT_MAX_TABLE_BITS = 26
@@ -99,53 +102,45 @@ def exact_single_system_leakage(params: SystemParams, query="S") -> LeakageRepor
     fail exact_single_system_fits.
     """
     parts = _normalize_query(query)
-    code = params.code
-    n, m, k = code.n, code.m, code.k
     if not exact_single_system_fits(params):
         raise ValueError("instance too large for exact oracle")
-    Ht = code.H.to_numpy().T.astype(np.int64)
-    Gt = code.G.to_numpy().astype(np.int64)  # k x n; codeword = z @ G
-    a_all = _all_bits(n)
-    synd_idx = _indices(a_all @ Ht % 2)
-    key_len = params.key_len
-    key_space = 1 << (key_len if params.keyed else 0)
-
-    def observed(s_int, k_int):
-        out = 0
-        for part in parts:
-            val = s_int if part == "S" else k_int
-            width = (n if params.scheme is Scheme.FUZZY_COMMITMENT else m) if part == "S" else key_len
-            out = (out << width) | val
-        return out
-
-    joint: dict[tuple[int, int], float] = {}
-    if params.scheme is Scheme.SECURE_SKETCH:
-        weight = 2.0 ** -(n + (key_len if params.keyed else 0))
-        for a in range(1 << n):
-            for kk in range(key_space):
-                k_int = kk if params.keyed else 0
-                s_int = int(synd_idx[a]) ^ k_int
-                key = (a, observed(s_int, k_int))
-                joint[key] = joint.get(key, 0.0) + weight
-    else:
-        cw_idx = _indices(_all_bits(k) @ Gt % 2) if k else np.zeros(1, dtype=np.int64)
-        weight = 2.0 ** -(n + k + (key_len if params.keyed else 0))
-        for a in range(1 << n):
-            for z in range(1 << k):
-                base = a ^ int(cw_idx[z])
-                for kk in range(key_space):
-                    k_int = kk if params.keyed else 0
-                    s_int = base ^ k_int
-                    key = (a, observed(s_int, k_int))
-                    joint[key] = joint.get(key, 0.0) + weight
-    obs_values = sorted({obs for _, obs in joint})
-    obs_pos = {v: i for i, v in enumerate(obs_values)}
-    table = np.zeros((1 << n, len(obs_values)))
-    for (a, obs), w in sorted(joint.items()):
-        table[a, obs_pos[obs]] += w
-    return LeakageReport(bits_leaked=_mi_from_joint(table), method="exact-enumeration",
+    return LeakageReport(bits_leaked=_mi_from_joint(_single_system_joint(params, parts)),
+                         method="exact-enumeration",
                          params={"scheme": params.scheme.value, "keyed": params.keyed,
-                                 "n": n, "m": m, "query": ",".join(parts)})
+                                 "n": params.n, "m": params.m, "query": ",".join(parts)})
+
+
+def _single_system_joint(params: SystemParams, parts: tuple[str, ...]) -> np.ndarray:
+    """Joint table of A (rows) and the observed parts (columns, sorted values).
+
+    Every cell of the (A, Z, K) grid (Z only for FC, K only when keyed) has
+    probability 2^-(n + k + key length), so entry (a, observation) is a
+    count, taken with one integer bincount over the cell index
+    a * |observations| + column, times that weight.
+    """
+    code = params.code
+    n, k = code.n, code.k
+    fc = params.scheme is Scheme.FUZZY_COMMITMENT
+    width = params.key_len  # S and K have the same width in both schemes
+    key_bits = width if params.keyed else 0
+    a = np.arange(1 << n, dtype=np.int64)
+    kk = np.arange(1 << key_bits, dtype=np.int64)
+    if fc:
+        Gt = code.G.to_numpy().astype(np.int64)  # k x n; codeword = z @ G
+        codewords = _indices(_all_bits(k) @ Gt % 2) if k else np.zeros(1, dtype=np.int64)
+        s = a[:, None, None] ^ codewords[None, :, None] ^ kk[None, None, :]
+    else:
+        synd = _indices(_all_bits(n) @ code.H.to_numpy().T.astype(np.int64) % 2)
+        s = synd[:, None, None] ^ kk[None, None, :]
+    obs = np.zeros(1, dtype=np.int64)
+    for part in parts:
+        obs = (obs << width) | (s if part == "S" else kk)
+    obs = np.broadcast_to(obs, s.shape).reshape(1 << n, -1)
+    obs_values, col = np.unique(obs, return_inverse=True)
+    cells = col.reshape(obs.shape) + a[:, None] * obs_values.size
+    counts = np.bincount(cells.ravel(), minlength=(1 << n) * obs_values.size)
+    weight = 2.0 ** -(n + (k if fc else 0) + key_bits)
+    return counts.reshape(1 << n, obs_values.size) * weight
 
 
 def _all_bits(n: int) -> np.ndarray:

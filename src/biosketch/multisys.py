@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import LinearCode, OperatingAssumptionWarning, make_code_from_H
-from .gf2 import BitMatrix, rank, sample_full_rank, stacked_rank, uniform_bitvec
+from .gf2 import BitMatrix, rank, reduce_into, sample_full_rank, stacked_rank, uniform_bitvec
 
 RANK_PROFILE_GUARD = 10 ** 6
 
@@ -40,12 +40,17 @@ def rank_profiles(config: Sequence[LinearCode | BitMatrix], L: int) -> DesignRep
 
     ``config`` is a sequence of codes or parity-check matrices, one per system.
     Subsets are 1-based sorted index tuples in lexicographic order; t_min
-    only ranges over targets outside the subset.
+    only ranges over targets outside the subset.  Each subset's rows are
+    reduced once into an XOR basis (``gf2.reduce_into``); r_l is its size,
+    and t_{l,j} is the rank target j's rows add to a copy of it (0 for a
+    target inside the subset).
     """
     mats = [item.H if isinstance(item, LinearCode) else item for item in config]
     u = len(mats)
     if not 1 <= L <= u:
         raise ValueError(f"L must be in [1, {u}], got {L}")
+    if len({M.cols for M in mats}) != 1:
+        raise ValueError("column mismatch in stack")
     n_subsets = math.comb(u, L)
     if n_subsets * u > RANK_PROFILE_GUARD:
         raise ValueError(f"combinatorial guard exceeded: {n_subsets} subsets x {u} systems")
@@ -53,11 +58,10 @@ def rank_profiles(config: Sequence[LinearCode | BitMatrix], L: int) -> DesignRep
     t_profile: dict[tuple[tuple[int, ...], int], int] = {}
     t_min = None
     for subset in itertools.combinations(range(1, u + 1), L):
-        stack = [mats[i - 1] for i in subset]
-        r_l = stacked_rank(stack)
-        r_profile[subset] = r_l
+        basis: dict[int, int] = {}
+        r_profile[subset] = sum(reduce_into(basis, mats[i - 1].row_bits) for i in subset)
         for j in range(1, u + 1):
-            t = stacked_rank(stack + [mats[j - 1]]) - r_l
+            t = 0 if j in subset else reduce_into(dict(basis), mats[j - 1].row_bits)
             t_profile[(subset, j)] = t
             if j not in subset and (t_min is None or t < t_min):
                 t_min = t

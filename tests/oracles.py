@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from biosketch.gf2 import BitMatrix
+from biosketch.schemes import Scheme, SystemParams
 
 
 def span_size_rank(M: BitMatrix) -> int:
@@ -150,3 +151,62 @@ def weight_distribution(n: int, p: float) -> np.ndarray:
         w = bin(e).count("1")
         out[e] = p ** w * (1 - p) ** (n - w)
     return out
+
+
+def _all_bits(n: int) -> np.ndarray:
+    x = np.arange(1 << n, dtype=np.int64)
+    return ((x[:, None] >> np.arange(n)) & 1).astype(np.int64)
+
+
+def _indices(bits: np.ndarray) -> np.ndarray:
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def dict_single_system_joint(params: SystemParams, parts: tuple[str, ...]) -> np.ndarray:
+    """Joint table of A and the observed parts, summed case by case in a dict.
+
+    Loops over every (A, Z, K) case, adds its dyadic weight to the
+    (a, observation) entry, then lays the entries out with the observed
+    values as sorted columns.  The reference for the exact single-system
+    leakage enumeration.
+    """
+    code = params.code
+    n, m, k = code.n, code.m, code.k
+    Ht = code.H.to_numpy().T.astype(np.int64)
+    Gt = code.G.to_numpy().astype(np.int64)  # k x n; codeword = z @ G
+    synd_idx = _indices(_all_bits(n) @ Ht % 2)
+    key_len = params.key_len
+    key_space = 1 << (key_len if params.keyed else 0)
+
+    def observed(s_int, k_int):
+        out = 0
+        for part in parts:
+            val = s_int if part == "S" else k_int
+            width = (n if params.scheme is Scheme.FUZZY_COMMITMENT else m) if part == "S" \
+                else key_len
+            out = (out << width) | val
+        return out
+
+    joint: dict[tuple[int, int], float] = {}
+    if params.scheme is Scheme.SECURE_SKETCH:
+        weight = 2.0 ** -(n + (key_len if params.keyed else 0))
+        for a in range(1 << n):
+            for kk in range(key_space):
+                s_int = int(synd_idx[a]) ^ kk
+                key = (a, observed(s_int, kk))
+                joint[key] = joint.get(key, 0.0) + weight
+    else:
+        cw_idx = _indices(_all_bits(k) @ Gt % 2) if k else np.zeros(1, dtype=np.int64)
+        weight = 2.0 ** -(n + k + (key_len if params.keyed else 0))
+        for a in range(1 << n):
+            for z in range(1 << k):
+                base = a ^ int(cw_idx[z])
+                for kk in range(key_space):
+                    key = (a, observed(base ^ kk, kk))
+                    joint[key] = joint.get(key, 0.0) + weight
+    obs_values = sorted({obs for _, obs in joint})
+    obs_pos = {v: i for i, v in enumerate(obs_values)}
+    table = np.zeros((1 << n, len(obs_values)))
+    for (a, obs), w in sorted(joint.items()):
+        table[a, obs_pos[obs]] += w
+    return table

@@ -149,7 +149,7 @@ def test_leakage_multi_system(tmp_path, capsys):
     assert reports[0]["method"] == "exact-enumeration"
     assert reports[0]["bits_leaked"] == pytest.approx(3.0, abs=1e-9)  # identical H: rank H
 
-def test_linkage_preset(tmp_path, capsys):
+def _linkage_config(tmp_path) -> str:
     cfg = ExperimentConfig(
         experiment_id="link1", metric="sar", scheme="SS", keyed=True, tau=0.1,
         code=CodeSpec(kind="random", n=12, m=4, seed=3), trials=2_000, seed=6,
@@ -158,12 +158,25 @@ def test_linkage_preset(tmp_path, capsys):
         exposed_S=(1, 2), exposed_K=(1, 2, 3))
     path = tmp_path / "link.json"
     path.write_text(cfg.to_json())
-    rc = main(["linkage", "--config", str(path), "--preset", "example1", "--m", "4",
-               "--format", "json"])
+    return str(path)
+
+
+def test_linkage_preset(tmp_path, capsys):
+    rc = main(["linkage", "--config", _linkage_config(tmp_path), "--preset", "example1",
+               "--m", "4", "--format", "json"])
     assert rc == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["rows"][0]["p_hat"] == 1.0
     assert blob["rows"][0]["bound"] == 1.0
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_linkage_rejects_nonpositive_m(tmp_path, capsys, m):
+    rc = main(["linkage", "--config", _linkage_config(tmp_path), "--preset", "example4",
+               "--m", m])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: code m must be >= 1, got {m}\n"
 
 
 def test_design(tmp_path, capsys):
@@ -232,6 +245,10 @@ def test_config_errors_exit_1(far_config, capsys, field, value):
     ({"kind": "file"}, "file code needs path"),
     ({"kind": "preset", "name": "example9", "m": 4}, "unknown preset 'example9'"),
     ({"kind": "preset", "name": "example1"}, "preset needs m"),
+    ({"kind": "random", "n": 10, "m": 0}, "code m must be >= 1, got 0"),
+    ({"kind": "random", "n": 0, "m": 3}, "code n must be >= 1, got 0"),
+    ({"kind": "hamming", "r": 1}, "code r must be >= 2, got 1"),
+    ({"kind": "preset", "name": "example4", "m": -4}, "code m must be >= 1, got -4"),
 ])
 def test_code_spec_errors_exit_1(far_config, capsys, code, message):
     with pytest.raises(ValueError, match=message):

@@ -39,6 +39,8 @@ LEAK3 = dict(LEAK, experiment_id="g-leak3",
              exposed_S=[1, 2], exposed_K=[1, 2])
 LINK = dict(SAR, experiment_id="g-link", code={"kind": "random", "n": 12, "m": 4, "seed": 3},
             trials=2000)
+# the analysis benchmark's shapes: exact leakage at n=7, m=3 and its design search
+LEAK7 = dict(LEAK, experiment_id="g-leak7", code={"kind": "random", "n": 7, "m": 3, "seed": 2})
 DESIGN = ["design", "--u", "3", "--m", "3", "--n", "9", "--L", "2", "--seed", "4"]
 
 CASES = {
@@ -62,6 +64,10 @@ CASES = {
     "equiv-violation": (["equiv"], VIOLATION),
     "leakage-exact": (["leakage", "--exact"], LEAK),
     "leakage-multi": (["leakage"], LEAK3),
+    "leakage-exact-fc-keyed-n7": (["leakage", "--exact"], dict(LEAK7, scheme="FC")),
+    "leakage-exact-fc-keyless-n7": (["leakage", "--exact"],
+                                    dict(LEAK7, scheme="FC", keyed=False)),
+    "leakage-exact-ss-keyless-n7": (["leakage", "--exact"], dict(LEAK7, keyed=False)),
     "linkage-example4": (["linkage", "--preset", "example4", "--m", "4"],
                          dict(LINK, attack="coset-sampling")),
     "linkage-example1-json": (["linkage", "--preset", "example1", "--m", "4", "--format", "json"],
@@ -69,6 +75,8 @@ CASES = {
     "design": (DESIGN + ["--objective", "weighted"], None),
     # u m > n: maximal linkage resistance is out of reach, and the command says so
     "design-infeasible": (DESIGN[:6] + ["8", "--L", "2", "--seed", "4"], None),
+    "design-u4-m5-n20": (["design", "--u", "4", "--m", "5", "--n", "20", "--L", "2",
+                          "--objective", "weighted", "--seed", "1000"], None),
 }
 
 # case -> (exit code, sha256 of stdout, stderr)
@@ -87,6 +95,9 @@ GOLDEN = {
     "design": (
         0, "3ed19cd91b8a323c5114f616325ebcfc2a058be3b925e07b56c8c8ee282c85a1",
         ""),
+    "design-u4-m5-n20": (
+        0, "da5c5c476b67cbbd05177d752059864876d9302c97a38c9d7d48a7ab0df04040",
+        ""),
     "design-infeasible": (
         2, "cb7bb9bdec6c31e7b2d8aebfe1064324be51383f66c4f6170fd9177a6627f538",
         "warning: full independence infeasible: u*m = 9 > n = 8; t_min = m is unreachable\n"),
@@ -101,6 +112,15 @@ GOLDEN = {
         ""),
     "leakage-exact": (
         0, "0ea7bbd93b9d67c97898db68725544a4708950c84054a5c796ea080f7db4d0e4",
+        ""),
+    "leakage-exact-fc-keyed-n7": (
+        0, "125e61ffa0b504d8b25bddb8a7e52c67b45a3127da38cc8fe2402f4725760636",
+        ""),
+    "leakage-exact-fc-keyless-n7": (
+        0, "a46af3642ccf74de76cfe036f3e4d78ddaf99bbdab5221c3f6833a963c583e33",
+        ""),
+    "leakage-exact-ss-keyless-n7": (
+        0, "b96fd1139c44dfc8d6f708f0df4ae39ad6ea9031dc4625f0a30842bf129ec2b0",
         ""),
     "leakage-multi": (
         0, "2bb606b33e71f1fbf8e51fe120b295cb23d1e86fe68535472880112e442e29dc",

@@ -9,6 +9,8 @@ from biosketch.codes import hamming_code, random_code
 from biosketch.gf2 import BitMatrix, rank, sample_full_rank, stacked_rank
 from biosketch.leakage import (
     LeakageReport,
+    _mi_from_joint,
+    _single_system_joint,
     check_syndrome_uniformity,
     exact_mutual_info,
     exact_single_system_fits,
@@ -18,7 +20,7 @@ from biosketch.leakage import (
 )
 from biosketch.multisys import linkage_preset
 from biosketch.schemes import Scheme, SystemParams
-from oracles import brute_force_enrollment_mi
+from oracles import brute_force_enrollment_mi, dict_single_system_joint
 
 FC = Scheme.FUZZY_COMMITMENT
 SS = Scheme.SECURE_SKETCH
@@ -75,6 +77,17 @@ class TestExactSingleSystem:
         closed = single_system_leakage(p, query)
         assert exact.bits_leaked == pytest.approx(closed.bits_leaked, abs=1e-9)
         assert exact.method == "exact-enumeration"
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3)])
+    @pytest.mark.parametrize("scheme", [FC, SS])
+    @pytest.mark.parametrize("keyed", [True, False])
+    @pytest.mark.parametrize("query", ["S", "K", "S,K"])
+    def test_equals_dict_reference(self, n, m, scheme, keyed, query):
+        p = params_for(random_code(n, m, np.random.default_rng(160 + n)), scheme, keyed)
+        parts = tuple(query.split(","))
+        reference = dict_single_system_joint(p, parts)
+        assert np.array_equal(_single_system_joint(p, parts), reference)
+        assert exact_single_system_leakage(p, query).bits_leaked == _mi_from_joint(reference)
 
     def test_guard(self):
         big = random_code(12, 3, np.random.default_rng(151))

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biosketch.codes import OperatingAssumptionWarning, make_code_from_H, random_code
 from biosketch.gf2 import BitMatrix, rank, stacked_rank
@@ -49,6 +53,42 @@ class TestRankProfiles:
         for subset, r in report.r_profile.items():
             stack = BitMatrix.stack([mats[i - 1] for i in subset])
             assert r == span_size_rank(stack)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ranks_match_span_oracle_for_every_L(self, data):
+        # a pool of matrices with arbitrary rows (zero, repeated and dependent
+        # rows included), drawn into a tuple that may repeat a matrix
+        n = data.draw(st.integers(1, 9), label="n")
+        row = st.integers(0, (1 << n) - 1)
+        pool = data.draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=1,
+                                  max_size=3), label="pool")
+        pool = [BitMatrix.from_rows(rows, cols=n) for rows in pool]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4),
+                          label="picks")
+        mats = [pool[i] for i in picks]
+        u = len(mats)
+        for M in mats:
+            assert rank(M) == span_size_rank(M)
+        for L in range(1, u + 1):
+            report = rank_profiles(mats, L)
+            t_outside = []
+            for subset in itertools.combinations(range(1, u + 1), L):
+                stack = [mats[i - 1] for i in subset]
+                r = span_size_rank(BitMatrix.stack(stack))
+                assert report.r_profile[subset] == stacked_rank(stack) == r
+                for j in range(1, u + 1):
+                    t = span_size_rank(BitMatrix.stack(stack + [mats[j - 1]])) - r
+                    assert report.t_profile[(subset, j)] == t
+                    assert stacked_rank(stack + [mats[j - 1]]) == r + t
+                    if j not in subset:
+                        t_outside.append(t)
+            assert report.r_max == max(report.r_profile.values())
+            assert report.t_min == min(t_outside, default=0)
+
+    def test_column_mismatch(self):
+        with pytest.raises(ValueError, match="column"):
+            rank_profiles([BitMatrix.identity(3), BitMatrix.identity(4)], 1)
 
     def test_accepts_codes_and_config(self):
         rng = np.random.default_rng(94)
