@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
-from biosketch.codes import OperatingAssumptionWarning
+from biosketch.harness import assumption_warnings
 from biosketch.multisys import design_search
 
 
@@ -36,14 +35,15 @@ def main() -> int:
     print(f"u={args.u} m={args.m} n={args.n} L={args.L} "
           f"(independence feasible: {args.u * args.m <= args.n})")
     print(f"{'objective':<12} {'r_max':>6} {'t_min':>6}")
-    for objective in ("min_rmax", "max_tmin", "weighted"):
-        rng = np.random.default_rng(args.seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OperatingAssumptionWarning)
+    with assumption_warnings() as notes:
+        for objective in ("min_rmax", "max_tmin", "weighted"):
+            rng = np.random.default_rng(args.seed)
             _, report = design_search(args.u, args.m, args.n, args.L,
                                       objective=objective, rng=rng,
                                       restarts=args.restarts, lam=args.lam)
-        print(f"{objective:<12} {report.r_max:>6d} {report.t_min:>6d}")
+            print(f"{objective:<12} {report.r_max:>6d} {report.t_min:>6d}")
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     return 0
 
 

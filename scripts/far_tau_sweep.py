@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from biosketch.biomodel import composite_crossover
@@ -37,22 +38,21 @@ def main() -> int:
     spec = CodeSpec(kind="random", n=args.n, m=args.m, seed=args.code_seed)
     rate = (args.n - args.m) / args.n
     p_eff = composite_crossover(args.p, args.alpha)
-    rows = []
-    plan = None  # one code and coset table for every tau and both rates
-    for tau in args.taus:
-        base = dict(scheme="SS", keyed=True, tau=tau, code=spec, trials=args.trials,
-                    seed=args.seed, enroll_noise=(args.p,), probe_noise=(args.alpha,))
-        frr_config = ExperimentConfig(experiment_id="sweep", metric="frr", **base)
-        plan = plan or RunPlan(frr_config)
-        frr = estimate_frr(frr_config, plan)
-        far = estimate_far(ExperimentConfig(experiment_id="sweep", metric="far", **base), plan)
-        rows.append({
-            "tau": tau,
-            "frr": frr.p_hat, "frr_lo": frr.ci_low, "frr_hi": frr.ci_high,
-            "frr_bound": frr_bound(args.n, p_eff, tau, rate),
-            "far": far.p_hat, "far_lo": far.ci_low, "far_hi": far.ci_high,
-            "far_bound": far_bound(args.n, args.m, tau),
-        })
+    frr_config = ExperimentConfig(
+        experiment_id="sweep", metric="frr", scheme="SS", keyed=True, tau=tuple(args.taus),
+        code=spec, trials=args.trials, seed=args.seed, enroll_noise=(args.p,),
+        probe_noise=(args.alpha,))
+    plan = RunPlan(frr_config)  # one code and coset table for both rates
+    # each estimator runs its draws once and gives one estimate per tau
+    frrs = estimate_frr(frr_config, plan)
+    fars = estimate_far(dataclasses.replace(frr_config, metric="far"), plan)
+    rows = [{
+        "tau": tau,
+        "frr": frr.p_hat, "frr_lo": frr.ci_low, "frr_hi": frr.ci_high,
+        "frr_bound": frr_bound(args.n, p_eff, tau, rate),
+        "far": far.p_hat, "far_lo": far.ci_low, "far_hi": far.ci_high,
+        "far_bound": far_bound(args.n, args.m, tau),
+    } for tau, frr, far in zip(args.taus, frrs, fars)]
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")

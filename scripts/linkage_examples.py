@@ -45,8 +45,8 @@ def main() -> int:
         sar_config = ExperimentConfig(experiment_id=name, metric="sar", attack=attack,
                                       exposed_S=(1, 2), exposed_K=(1, 2, 3), **base)
         plan = RunPlan(sar_config, tables)
-        sar = estimate_sar(sar_config, plan)
-        far = estimate_far(ExperimentConfig(experiment_id=name, metric="far", **base), plan)
+        (sar,) = estimate_sar(sar_config, plan)
+        (far,) = estimate_far(ExperimentConfig(experiment_id=name, metric="far", **base), plan)
         report = rank_profiles([system.code for system in plan.systems], L=2)
         t = report.t_profile[((1, 2), 3)]
         print(f"{name:<10} {attack:<15} {t:>10d} {sar_lower_bound(t):>8.4f} "

@@ -43,7 +43,6 @@ from .gf2 import (
     rank,
     residual_rank,
     sample_full_rank,
-    save_matrix,
     solve_any,
     stacked_rank,
     uniform_bitvec,
@@ -71,13 +70,11 @@ from .harness import (
     estimate_far,
     estimate_frr,
     estimate_sar,
-    frr_breakdown,
     run_config,
     wilson_interval,
 )
 from .leakage import (
     LeakageReport,
-    check_syndrome_uniformity,
     exact_mutual_info,
     exact_single_system_leakage,
     leakage_rank_bound,

@@ -116,10 +116,7 @@ def _cmd_leakage(args) -> int:
             if args.exact and exact_single_system_fits(params):
                 reports.append(exact_single_system_leakage(params, query))
     else:
-        exposed_S = set(config.exposed_S)
-        exposed_K = set(config.exposed_K) | (
-            set(range(1, config.u + 1)) if not config.keyed else set())
-        full = sorted(exposed_S & exposed_K)
+        full = config.fully_compromised()
         H_list = [codes[i - 1].H for i in full]
         p_list = [config.enroll_noise[i - 1] for i in full]
         bound = leakage_rank_bound(H_list)

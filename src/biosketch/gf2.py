@@ -391,14 +391,6 @@ def solve_any(M: BitMatrix, s: BitVec) -> BitVec:
     return Gf2Solver(M).solve(s)
 
 
-def row_basis(M: BitMatrix) -> BitMatrix:
-    """Full-row-rank matrix with the same row space (the nonzero RREF rows)."""
-    reduced, pivots, _ = _echelon(list(M.row_bits), M.cols)
-    if not pivots:
-        raise ValueError("zero matrix has no row basis")
-    return BitMatrix(len(pivots), M.cols, tuple(reduced[: len(pivots)]))
-
-
 def nullspace_basis(H: BitMatrix) -> BitMatrix:
     """A k x n basis G of the null space of a full-row-rank m x n matrix H.
 
@@ -461,11 +453,6 @@ def matrix_from_text(text: str) -> BitMatrix:
             raise ValueError(f"row has length {len(ln)}, expected {n}")
         rows.append(BitVec.from01(ln))
     return BitMatrix.from_rows(rows)
-
-
-def save_matrix(path, M: BitMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(matrix_to_text(M))
 
 
 def load_matrix(path) -> BitMatrix:

@@ -7,10 +7,16 @@ order-independent count.  Batch kernels vectorize the exact scheme
 algebra over numpy bit arrays; the per-record API in `schemes` and
 `adversary` is the reference implementation they are tested against.
 
+Neither the draws nor the attacks depend on tau.  An estimator runs its
+batches once, counts the decoded weights into one histogram and returns
+one estimate per tau of the config; `_rates_per_tau` is where the
+acceptance threshold is applied.
+
 `run_config` turns a validated config into result rows: it builds the
 codes of its systems (`ExperimentConfig.build_codes`) and their coset
-tables once, and gathers every operating-assumption warning of the run
-through `assumption_warnings`, the one capture path.  `rows_to_csv` and
+tables once, makes one estimator call for all tau rows, and gathers
+every operating-assumption warning of the run through
+`assumption_warnings`, the one capture path.  `rows_to_csv` and
 `summary_json` are the only writers of a run's CSV and summary bytes.
 """
 
@@ -236,8 +242,14 @@ class ExperimentConfig:
             raise ValueError("tau sweep given where a single value is required")
         return self.tau
 
-    def with_tau(self, tau: float) -> ExperimentConfig:
-        return dataclasses.replace(self, tau=tau)
+    def exposed_keys(self) -> frozenset[int]:
+        """Systems whose key the attacker holds; a keyless system's all-zero key is public."""
+        public = frozenset() if self.keyed else frozenset(range(1, self.u + 1))
+        return frozenset(self.exposed_K) | public
+
+    def fully_compromised(self) -> tuple[int, ...]:
+        """Systems with stored data and key both exposed, in ascending order."""
+        return tuple(sorted(set(self.exposed_S) & self.exposed_keys()))
 
     def build_codes(self) -> tuple[LinearCode, ...]:
         """The code of each system 1..u; a single-code spec serves every system."""
@@ -309,8 +321,8 @@ def _bern_bits(rng: np.random.Generator, t: int, n: int, p: float) -> np.ndarray
 class _BatchSystem:
     """Per-system precomputation for the vectorized kernels.
 
-    Independent of tau: decisions take the acceptance threshold as an
-    argument, so one system serves every row of a tau sweep.
+    Independent of tau: it yields decoded weights, and the caller applies
+    the acceptance threshold, so one system serves every row of a tau sweep.
     """
 
     def __init__(self, code: LinearCode, scheme: Scheme, keyed: bool,
@@ -357,25 +369,17 @@ class _BatchSystem:
         idx = q.astype(np.int64) @ self.pows_m
         return self.weights[idx]
 
-    def decide(self, D: np.ndarray, L: np.ndarray, S: np.ndarray,
-               threshold: int) -> np.ndarray:
-        return self.decode_weights(D, L, S) <= threshold
-
 
 def _mul_bits(x: np.ndarray, M_rows_f32: np.ndarray) -> np.ndarray:
     """x (t, a) @ M^T for a binary matrix given as rows (b, a); result (t, b)."""
     return (x.astype(np.float32) @ M_rows_f32.T).astype(np.int64).astype(np.uint8) & 1
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits, axis=1, bitorder="little")
-
-
 class RunPlan:
     """The codes, coset tables and solver maps of one experiment.
 
-    Built once per run and shared by the bound, the estimator and every
-    tau row; only the acceptance threshold floor(tau n) depends on tau.
+    Built once per run and shared by the bound and the estimator; only the
+    acceptance threshold floor(tau n) depends on tau.
     Systems with the same parity check share one coset table, also across
     plans that are given the same ``tables`` dict.  Callers that run the
     estimators directly pass one plan to every call on the same codes.
@@ -402,21 +406,32 @@ class RunPlan:
         return self._linkage[key]
 
 
-@dataclass(frozen=True)
-class FrrBreakdown:
-    """FRR with its decomposition into threshold excess and decoding error."""
-
-    frr: RateEstimate
-    weight_excess: RateEstimate   # true error pattern heavier than tau n
-    decode_error: RateEstimate    # decoded leader != true error pattern
-
-
-def _target(config: ExperimentConfig, plan: RunPlan | None) -> tuple[_BatchSystem, int]:
-    """The target system of a run and its acceptance threshold."""
+def _target(config: ExperimentConfig, plan: RunPlan | None) -> _BatchSystem:
+    """The target system of a run."""
     if config.trials <= 0:
         raise ValueError("trials must be positive")
-    sysj = (plan or RunPlan(config)).systems[config.target - 1]
-    return sysj, accept_threshold(config.scalar_tau(), sysj.n)
+    return (plan or RunPlan(config)).systems[config.target - 1]
+
+
+def _rates_per_tau(config: ExperimentConfig, n: int, batch_weights,
+                   count_rejects: bool = False) -> tuple[RateEstimate, ...]:
+    """One estimate per tau of the config from the decoded weight of every trial.
+
+    The weights of all batches go into one length-(n+1) histogram; a trial
+    is accepted at tau when its weight is at most floor(tau n), so the
+    accepted count is the cumulative histogram at that threshold.  Hits
+    are acceptances, or rejections with ``count_rejects``.
+    """
+    histogram = np.zeros(n + 1, dtype=np.int64)
+    for weights in batch_weights:
+        histogram += np.bincount(weights, minlength=n + 1)
+    accepted = np.cumsum(histogram)
+    rates = []
+    for tau in config.tau_values():
+        hits = int(accepted[accept_threshold(tau, n)])
+        rates.append(RateEstimate.from_counts(
+            config.trials - hits if count_rejects else hits, config.trials))
+    return tuple(rates)
 
 
 def _legit_batches(config: ExperimentConfig, sysj: _BatchSystem):
@@ -432,37 +447,20 @@ def _legit_batches(config: ExperimentConfig, sysj: _BatchSystem):
         yield A, B, sysj.decode_weights(B, enrolled["K"], enrolled["S"])
 
 
-def estimate_frr(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
-    """Fresh (A0, A, B, K) per trial; fraction of legitimate rejections."""
-    sysj, threshold = _target(config, plan)
-    rejects = sum(int(np.sum(weights > threshold))
-                  for _, _, weights in _legit_batches(config, sysj))
-    return RateEstimate.from_counts(rejects, config.trials)
+def estimate_frr(config: ExperimentConfig,
+                 plan: RunPlan | None = None) -> tuple[RateEstimate, ...]:
+    """Fresh (A0, A, B, K) per trial; per tau, the fraction of legitimate rejections.
+
+    One pass over the batches serves every tau of the config.
+    """
+    sysj = _target(config, plan)
+    return _rates_per_tau(config, sysj.n,
+                          (weights for _, _, weights in _legit_batches(config, sysj)),
+                          count_rejects=True)
 
 
-def frr_breakdown(config: ExperimentConfig, plan: RunPlan | None = None) -> FrrBreakdown:
-    """The draws of `estimate_frr`, with the FRR split into its two causes."""
-    sysj, threshold = _target(config, plan)
-    rejects = excess = mismatch = 0
-    for A, B, weights in _legit_batches(config, sysj):
-        rejects += int(np.sum(weights > threshold))
-        err = A ^ B
-        excess += int(np.sum(err.sum(axis=1) > threshold))
-        q = sysj.synd_bits(err).astype(np.int64) @ sysj.pows_m
-        decoded = sysj.packed_leaders[q]
-        mismatch += int(np.sum(np.any(decoded != _pack_rows(err), axis=1)))
-    return FrrBreakdown(
-        frr=RateEstimate.from_counts(rejects, config.trials),
-        weight_excess=RateEstimate.from_counts(excess, config.trials),
-        decode_error=RateEstimate.from_counts(mismatch, config.trials),
-    )
-
-
-def estimate_far(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
-    """Uninformed attack per trial against a fresh enrollment."""
-    sysj, threshold = _target(config, plan)
+def _far_weights(config: ExperimentConfig, sysj: _BatchSystem):
     p1 = config.enroll_noise[config.target - 1]
-    hits = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
         rng = _batch_rng(config.seed, _ROLE_FAR, b_idx)
         A0 = _uniform_bits(rng, t, sysj.n)
@@ -470,8 +468,17 @@ def estimate_far(config: ExperimentConfig, plan: RunPlan | None = None) -> RateE
         enrolled = sysj.enroll_batch(A, rng)
         C = _uniform_bits(rng, t, sysj.n)
         J = sysj.sample_key(rng, t)  # uniform when keyed, zero when keyless
-        hits += int(np.sum(sysj.decide(C, J, enrolled["S"], threshold)))
-    return RateEstimate.from_counts(hits, config.trials)
+        yield sysj.decode_weights(C, J, enrolled["S"])
+
+
+def estimate_far(config: ExperimentConfig,
+                 plan: RunPlan | None = None) -> tuple[RateEstimate, ...]:
+    """Uninformed attack per trial against a fresh enrollment; one estimate per tau.
+
+    One pass over the batches serves every tau of the config.
+    """
+    sysj = _target(config, plan)
+    return _rates_per_tau(config, sysj.n, _far_weights(config, sysj))
 
 
 class _LinkagePlan:
@@ -509,15 +516,14 @@ class _LinkagePlan:
             [systems[i - 1].synd_bits(enrolled[i - 1]["A"]) for i in self.full_ids], axis=1)
 
 
-def _validate_sar_scenario(config: ExperimentConfig, systems: list[_BatchSystem]) -> dict:
+def _validate_sar_scenario(config: ExperimentConfig) -> dict:
     """Check attack tag vs compromise flags; returns resolved scenario info."""
     tag = config.attack
     j = config.target
     exposed_S = set(config.exposed_S)
-    # the all-zero key of a keyless system is public knowledge
-    exposed_K = set(config.exposed_K) | {i + 1 for i, s in enumerate(systems) if not s.keyed}
+    exposed_K = config.exposed_keys()
     exposed_bio = set(config.exposed_bio)
-    full = tuple(i for i in sorted(exposed_S & exposed_K) if i != j)
+    full = tuple(i for i in config.fully_compromised() if i != j)
     info = {"tag": tag, "j": j, "exposed_S": exposed_S, "exposed_K": exposed_K,
             "exposed_bio": exposed_bio, "full_ids": full}
     if tag == "stored" and j not in exposed_S:
@@ -536,22 +542,30 @@ def _validate_sar_scenario(config: ExperimentConfig, systems: list[_BatchSystem]
     return info
 
 
-def estimate_sar(config: ExperimentConfig, plan: RunPlan | None = None) -> RateEstimate:
-    """Run the configured adversary against fresh multi-system enrollments."""
+def estimate_sar(config: ExperimentConfig,
+                 plan: RunPlan | None = None) -> tuple[RateEstimate, ...]:
+    """Run the configured adversary against fresh multi-system enrollments.
+
+    One pass over the batches serves every tau of the config: one estimate
+    per tau.
+    """
     if config.trials <= 0:
         raise ValueError("trials must be positive")
     plan = plan or RunPlan(config)
-    systems = plan.systems
-    info = _validate_sar_scenario(config, systems)
+    info = _validate_sar_scenario(config)
+    linkage = None
+    if info["tag"] in ("rank-linked", "coset-sampling"):
+        linkage = plan.linkage(info["full_ids"], info["j"])
+        if info["tag"] == "rank-linked" and linkage.residual > 0:
+            raise ValueError("not rank-dependent: target adds residual rank")
+    return _rates_per_tau(config, plan.systems[info["j"] - 1].n,
+                          _sar_weights(config, plan.systems, info, linkage))
+
+
+def _sar_weights(config: ExperimentConfig, systems: list[_BatchSystem], info: dict,
+                 linkage: _LinkagePlan | None):
     tag, j = info["tag"], info["j"]
     sysj = systems[j - 1]
-    threshold = accept_threshold(config.scalar_tau(), sysj.n)
-    linkage = None
-    if tag in ("rank-linked", "coset-sampling"):
-        linkage = plan.linkage(info["full_ids"], j)
-        if tag == "rank-linked" and linkage.residual > 0:
-            raise ValueError("not rank-dependent: target adds residual rank")
-    hits = 0
     for b_idx, t in enumerate(_batch_sizes(config.trials)):
         rng = _batch_rng(config.seed, _ROLE_SAR, b_idx)
         A0 = _uniform_bits(rng, t, sysj.n)
@@ -560,8 +574,7 @@ def estimate_sar(config: ExperimentConfig, plan: RunPlan | None = None) -> RateE
             A_i = A0 ^ _bern_bits(rng, t, s.n, config.enroll_noise[i])
             enrolled.append(s.enroll_batch(A_i, rng))
         C, J = _attack_batch(tag, info, linkage, systems, enrolled, A0, rng, t)
-        hits += int(np.sum(sysj.decide(C, J, enrolled[j - 1]["S"], threshold)))
-    return RateEstimate.from_counts(hits, config.trials)
+        yield sysj.decode_weights(C, J, enrolled[j - 1]["S"])
 
 
 def _attack_batch(tag: str, info: dict, plan, systems, enrolled, A0, rng, t) -> tuple:
@@ -689,51 +702,39 @@ def equivalence_report(fc_config: ExperimentConfig, ss_config: ExperimentConfig,
         B = A0 ^ _bern_bits(rng, t, fc_sys.n, alpha)
         fc_enr = fc_sys.enroll_batch(A, rng)
         ss_enr = ss_sys.enroll_batch(A, rng)
-        fc_dec = fc_sys.decide(B, fc_enr["K"], fc_enr["S"], threshold)
-        ss_dec = ss_sys.decide(B, ss_enr["K"], ss_enr["S"], threshold)
+        fc_dec = fc_sys.decode_weights(B, fc_enr["K"], fc_enr["S"]) <= threshold
+        ss_dec = ss_sys.decode_weights(B, ss_enr["K"], ss_enr["S"]) <= threshold
         agreements += int(np.sum(fc_dec == ss_dec))
 
     j = fc_config.target
-    stored = {"metric": "sar", "attack": "stored", "exposed_S": (j,)}
-    key_only = {"metric": "sar", "attack": "biometric+key", "exposed_K": (j,)}
-    bio_only = {"metric": "sar", "attack": "biometric+key", "exposed_bio": (j,)}
-    report = EquivalenceReport(
+    attacks = {"stored": {"attack": "stored", "exposed_S": (j,)},
+               "key_only": {"attack": "biometric+key", "exposed_K": (j,)},
+               "bio_only": {"attack": "biometric+key", "exposed_bio": (j,)}}
+    rates = {}  # the config's tau is scalar, so each estimator gives one estimate
+    for name, config, plan, seed in (("fc", fc_config, fc_plan, fc_config.seed),
+                                     ("ss", ss_config, ss_plan, ss_config.seed + 1)):
+        for metric, estimator in (("frr", estimate_frr), ("far", estimate_far)):
+            (rates[f"{metric}_{name}"],) = estimator(dataclasses.replace(
+                config, metric=metric, attack=None, seed=seed), plan)
+        for attack, scenario in attacks.items():
+            (rates[f"sar_{attack}_{name}"],) = estimate_sar(dataclasses.replace(
+                config, metric="sar", trials=sar_trials, **scenario), plan)
+    return EquivalenceReport(
         coupled_trials=fc_config.trials,
         coupled_agreements=agreements,
-        frr_fc=estimate_frr(dataclasses.replace(fc_config, metric="frr", attack=None),
-                            fc_plan),
-        frr_ss=estimate_frr(dataclasses.replace(ss_config, metric="frr", attack=None,
-                                                seed=ss_config.seed + 1), ss_plan),
-        far_fc=estimate_far(dataclasses.replace(fc_config, metric="far", attack=None),
-                            fc_plan),
-        far_ss=estimate_far(dataclasses.replace(ss_config, metric="far", attack=None,
-                                                seed=ss_config.seed + 1), ss_plan),
-        sar_stored_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **stored), fc_plan),
-        sar_stored_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **stored), ss_plan),
-        sar_key_only_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **key_only), fc_plan),
-        sar_key_only_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **key_only), ss_plan),
-        sar_bio_only_fc=estimate_sar(dataclasses.replace(
-            fc_config, trials=sar_trials, **bio_only), fc_plan),
-        sar_bio_only_ss=estimate_sar(dataclasses.replace(
-            ss_config, trials=sar_trials, **bio_only), ss_plan),
         storage_bits={"FC": fc_sys.n, "SS": ss_sys.m},
         key_bits={"FC": fc_sys.n if fc_config.keyed else 0,
                   "SS": ss_sys.m if ss_config.keyed else 0},
+        **rates,
     )
-    return report
 
 
-def _bound_for(config: ExperimentConfig, plan: RunPlan) -> float | None:
-    """The applicable theoretical reference for the metric.
+def _bound_for(config: ExperimentConfig, plan: RunPlan, tau: float) -> float | None:
+    """The applicable theoretical reference for the metric at one tau.
 
     Upper bounds for frr/far and the state-independent attack tags; lower
     bounds (certain or coset floor) for informed attacks.
     """
-    tau = config.scalar_tau()
     systems = plan.systems
     sysj = systems[config.target - 1]
     n, m = sysj.n, sysj.m
@@ -751,7 +752,7 @@ def _bound_for(config: ExperimentConfig, plan: RunPlan) -> float | None:
     if tag == "stored":
         return 1.0
     if tag in ("rank-linked", "coset-sampling"):
-        info = _validate_sar_scenario(config, systems)
+        info = _validate_sar_scenario(config)
         return sar_lower_bound(plan.linkage(info["full_ids"], j).residual)
     if tag == "substitute":
         p = composite_crossover(config.enroll_noise[j - 1], config.probe_noise[j - 1])
@@ -830,21 +831,22 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
     """Execute the (possibly tau-swept) experiment; collect warning notes.
 
     trials = 0 requests a bounds-only run.  The codes, coset tables and
-    solver maps are built once and shared by every tau row.
+    solver maps are built once, and one estimator call gives every tau row.
     """
     plan = RunPlan(config)
-    rows = []
+    taus = config.tau_values()
     with assumption_warnings() as notes:
-        for tau in config.tau_values():
-            sub = config.with_tau(tau)
-            row_id = sub.experiment_id if len(config.tau_values()) == 1 \
-                else f"{sub.experiment_id}@tau={tau!r}"
-            bound = _bound_for(sub, plan)
-            estimate = _ESTIMATORS[sub.metric](sub, plan) if sub.trials > 0 else None
-            rows.append(ExperimentRow(
-                experiment_id=row_id, metric=sub.metric,
-                p_hat=None if estimate is None else estimate.p_hat,
-                ci_low=None if estimate is None else estimate.ci_low,
-                ci_high=None if estimate is None else estimate.ci_high,
-                bound=bound, trials=sub.trials, seed=sub.seed))
+        bounds = [_bound_for(config, plan, tau) for tau in taus]
+        estimates = _ESTIMATORS[config.metric](config, plan) if config.trials > 0 \
+            else (None,) * len(taus)
+    rows = []
+    for tau, bound, estimate in zip(taus, bounds, estimates):
+        rows.append(ExperimentRow(
+            experiment_id=config.experiment_id if len(taus) == 1
+            else f"{config.experiment_id}@tau={tau!r}",
+            metric=config.metric,
+            p_hat=None if estimate is None else estimate.p_hat,
+            ci_low=None if estimate is None else estimate.ci_low,
+            ci_high=None if estimate is None else estimate.ci_high,
+            bound=bound, trials=config.trials, seed=config.seed))
     return ExperimentResult(rows=tuple(rows), warnings=tuple(notes))

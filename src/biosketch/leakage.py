@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, Gf2Solver, stacked_rank
+from .gf2 import BitMatrix, stacked_rank
 from .schemes import Scheme, SystemParams
 
 EXACT_MAX_N = 10
@@ -25,7 +25,6 @@ EXACT_MAX_N = 10
 EXACT_MAX_ENUM_BITS = 20
 EXACT_MAX_SYSTEMS = 3
 EXACT_MAX_TABLE_BITS = 26
-UNIFORMITY_MAX_N = 12
 
 LEAKAGE_QUERIES = ("S", "K", "S,K")
 
@@ -225,48 +224,3 @@ def leakage_rank_bound(H_list: Sequence[BitMatrix]) -> int:
     if not H_list:
         return 0
     return stacked_rank(list(H_list))
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    n: int
-    m: int
-    m_tilde: int
-    cell_count: int
-    conditional: float
-
-
-def check_syndrome_uniformity(H: BitMatrix, H_tilde: BitMatrix) -> UniformityReport:
-    """Exhaustively verify joint syndrome uniformity for independent rows.
-
-    Enumerates all 2^n vectors and checks every (s, s~) cell holds exactly
-    2^{n-m-m~} of them, i.e. every conditional equals 2^-m.  Raises when
-    the rows of H and H~ are linearly dependent, reporting an offending
-    combination.
-    """
-    if H.cols != H_tilde.cols:
-        raise ValueError("column counts differ")
-    n = H.cols
-    if n > UNIFORMITY_MAX_N:
-        raise ValueError(f"n too large for exhaustive check (max {UNIFORMITY_MAX_N})")
-    m, mt = H.rows, H_tilde.rows
-    stacked = BitMatrix.stack([H, H_tilde])
-    if stacked_rank([stacked]) != m + mt:
-        kern = Gf2Solver(stacked.transpose()).kernel_matrix()
-        assert kern is not None
-        combo = [i for i in range(m + mt) if kern.row(0)[i]]
-        raise ValueError("hypothesis violated: rows are linearly dependent; "
-                         f"offending combination of stacked rows {combo}")
-    if m + mt > n:
-        raise ValueError("hypothesis violated: more rows than dimensions")
-    bits = _all_bits(n)
-    idx_h = _indices(bits @ H.to_numpy().T.astype(np.int64) % 2)
-    idx_t = _indices(bits @ H_tilde.to_numpy().T.astype(np.int64) % 2)
-    counts = np.zeros((1 << m, 1 << mt), dtype=np.int64)
-    np.add.at(counts, (idx_h, idx_t), 1)
-    expected = 1 << (n - m - mt)
-    if not (counts == expected).all():
-        bad = np.argwhere(counts != expected)[0]
-        raise AssertionError(f"uniformity violated at cell {tuple(bad)}")
-    return UniformityReport(n=n, m=m, m_tilde=mt, cell_count=expected,
-                            conditional=2.0 ** -m)

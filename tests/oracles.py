@@ -3,18 +3,25 @@
 Everything here is deliberately dumb: span enumeration for ranks,
 full 2^n scans for coset leaders and syndrome counting, and direct
 joint-distribution summation for mutual information.  None of it shares
-code paths with the library routines it checks.
+code paths with the library routines it checks, except `frr_breakdown`,
+which reads the harness's own batch draws so that it sees exactly the
+trials of `harness.estimate_frr`, and applies the threshold itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from biosketch.gf2 import BitMatrix
-from biosketch.schemes import Scheme, SystemParams
+from biosketch import harness
+from biosketch.gf2 import BitMatrix, Gf2Solver, stacked_rank
+from biosketch.harness import RateEstimate
+from biosketch.schemes import Scheme, SystemParams, accept_threshold
+
+UNIFORMITY_MAX_N = 12
 
 
 def span_size_rank(M: BitMatrix) -> int:
@@ -23,6 +30,25 @@ def span_size_rank(M: BitMatrix) -> int:
     for r in M.row_bits:
         span |= {v ^ r for v in span}
     return int(math.log2(len(span)))
+
+
+def row_basis(M: BitMatrix) -> BitMatrix:
+    """Full-row-rank matrix with the same row space, by XOR-basis insertion.
+
+    The basis is kept in descending order, so its leading bits are distinct
+    and reducing a row by each element in turn leaves it zero exactly when
+    it lies in the span.
+    """
+    basis: list[int] = []
+    for row in M.row_bits:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    if not basis:
+        raise ValueError("zero matrix has no row basis")
+    return BitMatrix(len(basis), M.cols, tuple(basis))
 
 
 def syndrome_int(M: BitMatrix, x_bits: int) -> int:
@@ -210,3 +236,82 @@ def dict_single_system_joint(params: SystemParams, parts: tuple[str, ...]) -> np
     for (a, obs), w in sorted(joint.items()):
         table[a, obs_pos[obs]] += w
     return table
+
+
+@dataclass(frozen=True)
+class UniformityReport:
+    n: int
+    m: int
+    m_tilde: int
+    cell_count: int
+    conditional: float
+
+
+def check_syndrome_uniformity(H: BitMatrix, H_tilde: BitMatrix) -> UniformityReport:
+    """Exhaustively verify joint syndrome uniformity for independent rows.
+
+    Enumerates all 2^n vectors and checks every (s, s~) cell holds exactly
+    2^{n-m-m~} of them, i.e. every conditional equals 2^-m.  Raises when
+    the rows of H and H~ are linearly dependent, reporting an offending
+    combination.
+    """
+    if H.cols != H_tilde.cols:
+        raise ValueError("column counts differ")
+    n = H.cols
+    if n > UNIFORMITY_MAX_N:
+        raise ValueError(f"n too large for exhaustive check (max {UNIFORMITY_MAX_N})")
+    m, mt = H.rows, H_tilde.rows
+    stacked = BitMatrix.stack([H, H_tilde])
+    if stacked_rank([stacked]) != m + mt:
+        kern = Gf2Solver(stacked.transpose()).kernel_matrix()
+        assert kern is not None
+        combo = [i for i in range(m + mt) if kern.row(0)[i]]
+        raise ValueError("hypothesis violated: rows are linearly dependent; "
+                         f"offending combination of stacked rows {combo}")
+    if m + mt > n:
+        raise ValueError("hypothesis violated: more rows than dimensions")
+    bits = _all_bits(n)
+    idx_h = _indices(bits @ H.to_numpy().T.astype(np.int64) % 2)
+    idx_t = _indices(bits @ H_tilde.to_numpy().T.astype(np.int64) % 2)
+    counts = np.zeros((1 << m, 1 << mt), dtype=np.int64)
+    np.add.at(counts, (idx_h, idx_t), 1)
+    expected = 1 << (n - m - mt)
+    if not (counts == expected).all():
+        bad = np.argwhere(counts != expected)[0]
+        raise AssertionError(f"uniformity violated at cell {tuple(bad)}")
+    return UniformityReport(n=n, m=m, m_tilde=mt, cell_count=expected,
+                            conditional=2.0 ** -m)
+
+
+@dataclass(frozen=True)
+class FrrBreakdown:
+    """FRR with its decomposition into threshold excess and decoding error."""
+
+    frr: RateEstimate
+    weight_excess: RateEstimate   # true error pattern heavier than tau n
+    decode_error: RateEstimate    # decoded leader != true error pattern
+
+
+def frr_breakdown(config: harness.ExperimentConfig) -> FrrBreakdown:
+    """The draws of `harness.estimate_frr` at one tau, the FRR split into its two causes.
+
+    Reads the estimator's batches (`harness._legit_batches`) and compares
+    each decoded weight, each true error weight and each decoded leader
+    with the truth directly, without the estimator's histogram.
+    """
+    sysj = harness.RunPlan(config).systems[config.target - 1]
+    threshold = accept_threshold(config.scalar_tau(), sysj.n)
+    rejects = excess = mismatch = 0
+    for A, B, weights in harness._legit_batches(config, sysj):
+        rejects += int(np.sum(weights > threshold))
+        err = A ^ B
+        excess += int(np.sum(err.sum(axis=1) > threshold))
+        q = sysj.synd_bits(err).astype(np.int64) @ sysj.pows_m
+        decoded = sysj.packed_leaders[q]
+        packed_err = np.packbits(err, axis=1, bitorder="little")
+        mismatch += int(np.sum(np.any(decoded != packed_err, axis=1)))
+    return FrrBreakdown(
+        frr=RateEstimate.from_counts(rejects, config.trials),
+        weight_excess=RateEstimate.from_counts(excess, config.trials),
+        decode_error=RateEstimate.from_counts(mismatch, config.trials),
+    )

@@ -29,16 +29,19 @@ from biosketch.harness import (
     estimate_far,
     estimate_frr,
     estimate_sar,
-    frr_breakdown,
 )
 from biosketch.leakage import (
-    check_syndrome_uniformity,
     exact_mutual_info,
     exact_single_system_leakage,
 )
 from biosketch.multisys import linkage_preset, rank_profiles
 from biosketch.schemes import Scheme, SystemParams
-from oracles import exhaustive_min_weights, exhaustive_min_weights_chunked
+from oracles import (
+    check_syndrome_uniformity,
+    exhaustive_min_weights,
+    exhaustive_min_weights_chunked,
+    frr_breakdown,
+)
 
 
 @contextmanager
@@ -80,7 +83,7 @@ def test_criterion_02_far_bound():
     with criterion(2, "FAR bound: 1e6 uninformed attacks under 2^-(m - n h_b(tau))"):
         start = time.monotonic()
         c = config(tau=0.05, trials=1_000_000, seed=1002)
-        est = estimate_far(c)
+        (est,) = estimate_far(c)
         bound = far_bound(20, 10, 0.05)
         assert bound == pytest.approx(0.0518, abs=2e-3)
         assert est.ci_low <= bound, f"empirical {est.p_hat} exceeds bound {bound} beyond CI"
@@ -115,7 +118,7 @@ def test_criterion_04_stored_attack_all_variants():
     with criterion(4, "stored-data attack: hits == trials for all four variants"):
         for scheme in ("FC", "SS"):
             for keyed in (True, False):
-                est = estimate_sar(config(
+                (est,) = estimate_sar(config(
                     metric="sar", attack="stored", scheme=scheme, keyed=keyed,
                     exposed_S=(1,), trials=10_000, seed=1004))
                 assert est.hits == est.trials == 10_000, (scheme, keyed)
@@ -124,11 +127,11 @@ def test_criterion_04_stored_attack_all_variants():
 def test_criterion_05_two_factor_security():
     with criterion(5, "two-factor security: single-factor SAR CIs overlap FAR CI"):
         trials = 1_000_000
-        far = estimate_far(config(tau=0.05, trials=trials, seed=1005))
-        key_only = estimate_sar(config(metric="sar", attack="biometric+key", tau=0.05,
-                                       exposed_K=(1,), trials=trials, seed=1006))
-        bio_only = estimate_sar(config(metric="sar", attack="biometric+key", tau=0.05,
-                                       exposed_bio=(1,), trials=trials, seed=1007))
+        (far,) = estimate_far(config(tau=0.05, trials=trials, seed=1005))
+        (key_only,) = estimate_sar(config(metric="sar", attack="biometric+key", tau=0.05,
+                                          exposed_K=(1,), trials=trials, seed=1006))
+        (bio_only,) = estimate_sar(config(metric="sar", attack="biometric+key", tau=0.05,
+                                          exposed_bio=(1,), trials=trials, seed=1007))
         assert far.overlaps(key_only), (far, key_only)
         assert far.overlaps(bio_only), (far, bio_only)
 
@@ -181,18 +184,18 @@ def test_criterion_09_linkage_examples():
                      tau=0.05, enroll_noise=(0.0,) * 3, probe_noise=(0.02,) * 3,
                      exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3,
                      trials=10_000, seed=1008)
-        est1 = estimate_sar(ex1)
+        (est1,) = estimate_sar(ex1)
         assert est1.hits == est1.trials == 10_000
 
         # jointly independent matrices: coset sampling = FAR level
         shared = dict(tau=0.05, enroll_noise=(0.0,) * 3, probe_noise=(0.02,) * 3,
                       trials=200_000)
         ex3_code = CodeSpec(kind="preset", name="example3", m=8, seed=26)
-        sar3 = estimate_sar(config(metric="sar", attack="coset-sampling", code=ex3_code,
-                                   exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3,
-                                   seed=1009, **shared))
-        far3 = estimate_far(config(metric="far", code=ex3_code, target=3,
-                                   seed=1010, **shared))
+        (sar3,) = estimate_sar(config(metric="sar", attack="coset-sampling", code=ex3_code,
+                                      exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3,
+                                      seed=1009, **shared))
+        (far3,) = estimate_far(config(metric="far", code=ex3_code, target=3,
+                                      seed=1010, **shared))
         assert sar3.overlaps(far3), (sar3, far3)
 
         # partial dependence: success floor 2^-(m/2)
@@ -201,7 +204,7 @@ def test_criterion_09_linkage_examples():
                      tau=0.05, enroll_noise=(0.0,) * 3, probe_noise=(0.02,) * 3,
                      exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3,
                      trials=100_000, seed=1011)
-        est4 = estimate_sar(ex4)
+        (est4,) = estimate_sar(ex4)
         slack = est4.ci_high - est4.ci_low
         assert est4.p_hat >= 2.0 ** -4 - slack, (est4.p_hat, slack)
 
@@ -211,9 +214,9 @@ def test_criterion_10_substitute_enrollment():
         c = config(metric="sar", attack="substitute", tau=0.2,
                    enroll_noise=(0.05,), probe_noise=(0.05,),
                    exposed_bio=(0,), exposed_K=(1,), trials=100_000, seed=1012)
-        sar = estimate_sar(c)
-        frr = estimate_frr(config(metric="frr", tau=0.2, enroll_noise=(0.05,),
-                                  probe_noise=(0.05,), trials=100_000, seed=1013))
+        (sar,) = estimate_sar(c)
+        (frr,) = estimate_frr(config(metric="frr", tau=0.2, enroll_noise=(0.05,),
+                                     probe_noise=(0.05,), trials=100_000, seed=1013))
         slack = (sar.ci_high - sar.ci_low) + (frr.ci_high - frr.ci_low)
         assert sar.p_hat >= 1.0 - frr.p_hat - slack, (sar.p_hat, frr.p_hat)
 

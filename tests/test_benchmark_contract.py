@@ -53,6 +53,19 @@ def test_tracer_installs_and_uninstalls():
     assert {name: _resolve(name) for name in originals} == originals
 
 
+@pytest.mark.parametrize("metric", ["frr", "far", "sar"])
+def test_estimator_table_holds_the_module_functions(metric):
+    # spans.install rebinds dict values by identity and reads args[0].trials
+    harness = importlib.import_module("biosketch.harness")
+    estimator = harness._ESTIMATORS[metric]
+    assert estimator is getattr(harness, f"estimate_{metric}")
+    assert f"harness.estimate_{metric}" in spans.ESTIMATORS
+    first = next(iter(inspect.signature(estimator).parameters.values()))
+    assert first.name == "config"
+    assert first.kind in (inspect.Parameter.POSITIONAL_ONLY,
+                          inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
 def _program_names(path: Path) -> list[tuple[str, str]]:
     """(module, attribute) pairs a perfbench file reads from the program."""
     tree = ast.parse(path.read_text())

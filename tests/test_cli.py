@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biosketch.cli import main
-from biosketch.gf2 import save_matrix
+from biosketch.gf2 import matrix_to_text
 from biosketch.codes import random_code
 from biosketch.harness import CodeSpec, ExperimentConfig
 
@@ -78,7 +78,7 @@ def test_seed_and_trials_overrides(far_config, capsys):
 def test_matrix_file_override(far_config, tmp_path, capsys):
     code = random_code(8, 4, np.random.default_rng(200))
     mpath = tmp_path / "H.txt"
-    save_matrix(mpath, code.H)
+    mpath.write_text(matrix_to_text(code.H))
     assert main(["simulate", "far", "--config", str(far_config),
                  "--matrix-file", str(mpath), "--format", "json"]) == 0
     blob = json.loads(capsys.readouterr().out)

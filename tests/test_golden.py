@@ -54,6 +54,8 @@ CASES = {
                                 dict(FRR, experiment_id="g-frr-sweep", tau=[0.1, 0.15, 0.3])),
     "simulate-sar-csv": (["simulate", "sar"], SAR),
     "simulate-sar-json": (["simulate", "sar", "--format", "json"], SAR),
+    "simulate-sar-sweep-csv": (["simulate", "sar"],
+                               dict(SAR, experiment_id="g-sar-sweep", tau=[0.05, 0.1, 0.2])),
     "simulate-frr-violation": (["simulate", "frr"], VIOLATION),
     "bounds-csv": (["bounds"], FAR),
     "bounds-json": (["bounds", "--format", "json"], SWEEP),
@@ -166,6 +168,9 @@ GOLDEN = {
         ""),
     "simulate-sar-json": (
         0, "22a707492b2a90172e13a5489afe90ce28a2a3f1ed2c9e00def3d01ffc4fef6e",
+        ""),
+    "simulate-sar-sweep-csv": (
+        0, "5b90dbdb3105259d8aae166ff7a248145b6ea6c9bb404c0a13daa145bd0a1a05",
         ""),
 }
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biosketch.codes import build_coset_table, hamming_code, random_code
-from biosketch.gf2 import BitVec, save_matrix
+from biosketch.gf2 import BitVec, matrix_to_text
 from biosketch.harness import (
     CodeSpec,
     ExperimentConfig,
@@ -18,7 +18,6 @@ from biosketch.harness import (
     estimate_far,
     estimate_frr,
     estimate_sar,
-    frr_breakdown,
     rows_to_csv,
     run_config,
     wilson_interval,
@@ -29,6 +28,7 @@ from biosketch.schemes import (
     SystemParams,
     authenticate,
 )
+from oracles import frr_breakdown
 
 
 def cfg(**kw) -> ExperimentConfig:
@@ -72,7 +72,7 @@ class TestCodeSpec:
     def test_file(self, tmp_path):
         code = random_code(8, 3, np.random.default_rng(170))
         path = tmp_path / "h.txt"
-        save_matrix(path, code.H)
+        path.write_text(matrix_to_text(code.H))
         (loaded,) = CodeSpec(kind="file", path=str(path)).build()
         assert loaded.H == code.H
 
@@ -151,6 +151,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="tau must be in"):
             cfg(tau=tau)
 
+    @pytest.mark.parametrize("keyed,exposed_K,keys,full", [
+        (True, (2,), {2}, (2,)),
+        (True, (1, 2, 3), {1, 2, 3}, (2, 3)),
+        # a keyless system's all-zero key is public: exposed stored data suffices
+        (False, (), {1, 2, 3}, (2, 3)),
+    ])
+    def test_compromise_resolution(self, keyed, exposed_K, keys, full):
+        c = cfg(metric="sar", attack="coset-sampling", keyed=keyed, enroll_noise=(0.0,) * 3,
+                probe_noise=(0.0,) * 3, exposed_S=(3, 2), exposed_K=exposed_K)
+        assert c.exposed_keys() == keys
+        assert c.fully_compromised() == full
+
     def test_missing_field_in_json_is_a_value_error(self):
         blob = json.loads(cfg().to_json())
         del blob["tau"]
@@ -190,13 +202,13 @@ class TestBatchAgreesWithRecordApi:
 
 class TestEstimateFrr:
     def test_zero_noise_never_rejects(self):
-        est = estimate_frr(cfg(metric="frr", enroll_noise=(0.0,), probe_noise=(0.0,),
-                               trials=5_000))
+        (est,) = estimate_frr(cfg(metric="frr", enroll_noise=(0.0,), probe_noise=(0.0,),
+                                  trials=5_000))
         assert est.hits == 0
 
     def test_huge_tau_accepts_nearly_all(self):
-        est = estimate_frr(cfg(metric="frr", tau=0.49, enroll_noise=(0.0,),
-                               probe_noise=(0.05,), trials=5_000))
+        (est,) = estimate_frr(cfg(metric="frr", tau=0.49, enroll_noise=(0.0,),
+                                  probe_noise=(0.05,), trials=5_000))
         assert est.p_hat < 0.001
 
     def test_deterministic(self):
@@ -220,12 +232,12 @@ class TestEstimateFrr:
     ])
     def test_estimate_equals_breakdown_frr(self, extra):
         c = cfg(metric="frr", **{"trials": 20_000, **extra})
-        assert estimate_frr(c) == frr_breakdown(c).frr
+        assert estimate_frr(c) == (frr_breakdown(c).frr,)
 
     def test_matches_per_record_loop(self):
         c = cfg(metric="frr", code=CodeSpec(kind="hamming", r=3), tau=0.15,
                 enroll_noise=(0.05,), probe_noise=(0.08,), trials=30_000)
-        est = estimate_frr(c)
+        (est,) = estimate_frr(c)
         # independent per-record implementation of the same experiment
         from biosketch.biomodel import sample_enrollments, sample_probe, sample_world
         from biosketch.schemes import enroll
@@ -246,18 +258,18 @@ class TestEstimateFrr:
 
 class TestEstimateFar:
     def test_tiny_tau_hits_two_to_minus_m(self):
-        est = estimate_far(cfg(tau=0.01, trials=100_000))
+        (est,) = estimate_far(cfg(tau=0.01, trials=100_000))
         expected = 2.0 ** -5
         assert est.ci_low <= expected <= est.ci_high
 
     def test_fc_and_ss_overlap(self):
-        fc = estimate_far(cfg(scheme="FC", trials=50_000))
-        ss = estimate_far(cfg(scheme="SS", trials=50_000, seed=8))
+        (fc,) = estimate_far(cfg(scheme="FC", trials=50_000))
+        (ss,) = estimate_far(cfg(scheme="SS", trials=50_000, seed=8))
         assert fc.overlaps(ss)
 
     def test_keyless_same_distribution(self):
-        keyed = estimate_far(cfg(trials=50_000))
-        keyless = estimate_far(cfg(keyed=False, trials=50_000, seed=9))
+        (keyed,) = estimate_far(cfg(trials=50_000))
+        (keyless,) = estimate_far(cfg(keyed=False, trials=50_000, seed=9))
         assert keyed.overlaps(keyless)
 
 
@@ -265,8 +277,8 @@ class TestEstimateSar:
     def test_stored_always_succeeds(self):
         for scheme in ("FC", "SS"):
             for keyed in (True, False):
-                est = estimate_sar(cfg(metric="sar", attack="stored", scheme=scheme,
-                                       keyed=keyed, exposed_S=(1,), trials=2_000))
+                (est,) = estimate_sar(cfg(metric="sar", attack="stored", scheme=scheme,
+                                          keyed=keyed, exposed_S=(1,), trials=2_000))
                 assert est.hits == est.trials == 2_000
 
     def test_uninformed_matches_far(self):
@@ -274,22 +286,22 @@ class TestEstimateSar:
         (code,) = cfg().code.build()
         table = build_coset_table(code)
         truth = float(np.mean(table.weights <= 1))  # threshold floor(0.1 * 10) = 1
-        far = estimate_far(cfg(trials=200_000))
-        sar = estimate_sar(cfg(metric="sar", attack="uninformed", trials=200_000))
+        (far,) = estimate_far(cfg(trials=200_000))
+        (sar,) = estimate_sar(cfg(metric="sar", attack="uninformed", trials=200_000))
         assert far.ci_low <= truth <= far.ci_high
         assert sar.ci_low <= truth <= sar.ci_high
 
     def test_biometric_and_key_full_exposure(self):
-        est = estimate_sar(cfg(metric="sar", attack="biometric+key",
-                               exposed_K=(1,), exposed_bio=(1,), trials=2_000))
+        (est,) = estimate_sar(cfg(metric="sar", attack="biometric+key",
+                                  exposed_K=(1,), exposed_bio=(1,), trials=2_000))
         assert est.hits == 2_000
 
     def test_single_factor_is_far_level(self):
-        far = estimate_far(cfg(trials=50_000))
-        key_only = estimate_sar(cfg(metric="sar", attack="biometric+key",
-                                    exposed_K=(1,), trials=50_000))
-        bio_only = estimate_sar(cfg(metric="sar", attack="biometric+key",
-                                    exposed_bio=(1,), trials=50_000))
+        (far,) = estimate_far(cfg(trials=50_000))
+        (key_only,) = estimate_sar(cfg(metric="sar", attack="biometric+key",
+                                       exposed_K=(1,), trials=50_000))
+        (bio_only,) = estimate_sar(cfg(metric="sar", attack="biometric+key",
+                                       exposed_bio=(1,), trials=50_000))
         assert far.overlaps(key_only)
         assert far.overlaps(bio_only)
 
@@ -307,8 +319,8 @@ class TestEstimateSar:
         c = cfg(metric="sar", attack="substitute", exposed_bio=(0,), exposed_K=(1,),
                 code=CodeSpec(kind="random", n=16, m=8, seed=5), tau=0.2,
                 enroll_noise=(0.05,), probe_noise=(0.05,), trials=20_000)
-        sar = estimate_sar(c)
-        frr = estimate_frr(dataclasses.replace(c, metric="frr", attack=None))
+        (sar,) = estimate_sar(c)
+        (frr,) = estimate_frr(dataclasses.replace(c, metric="frr", attack=None))
         assert sar.p_hat >= 1.0 - frr.p_hat - 0.02
 
     def test_rank_linked_example1(self):
@@ -316,7 +328,7 @@ class TestEstimateSar:
                 code=CodeSpec(kind="preset", name="example1", m=4, seed=6),
                 enroll_noise=(0.0, 0.0, 0.0), probe_noise=(0.05,) * 3,
                 exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3, trials=2_000)
-        est = estimate_sar(c)
+        (est,) = estimate_sar(c)
         assert est.hits == 2_000
 
     def test_rank_linked_example1_fc_scheme(self):
@@ -324,7 +336,7 @@ class TestEstimateSar:
                 code=CodeSpec(kind="preset", name="example1", m=4, seed=6),
                 enroll_noise=(0.0, 0.0, 0.0), probe_noise=(0.05,) * 3,
                 exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3, trials=2_000)
-        est = estimate_sar(c)
+        (est,) = estimate_sar(c)
         assert est.hits == 2_000
 
     def test_rank_linked_rejects_independent_target(self):
@@ -341,7 +353,7 @@ class TestEstimateSar:
                 code=CodeSpec(kind="preset", name="example4", m=m, seed=7),
                 tau=0.05, enroll_noise=(0.0,) * 3, probe_noise=(0.02,) * 3,
                 exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3, trials=50_000)
-        est = estimate_sar(c)
+        (est,) = estimate_sar(c)
         assert est.ci_low >= 2.0 ** -(m // 2) - 0.01
 
     def test_matches_per_record_attack_constructor(self):
@@ -354,7 +366,7 @@ class TestEstimateSar:
                 code=CodeSpec(kind="preset", name="example4", m=m, seed=8),
                 tau=0.1, enroll_noise=(0.0,) * 3, probe_noise=(0.05,) * 3,
                 exposed_S=(1, 2), exposed_K=(1, 2, 3), target=3, trials=20_000)
-        vec = estimate_sar(c)
+        (vec,) = estimate_sar(c)
         codes = c.code.build()
         params = [SystemParams(scheme=Scheme.SECURE_SKETCH, keyed=True, tau=0.1, code=x)
                   for x in codes]
@@ -377,8 +389,8 @@ class TestTradeoffMonotonicity:
     def test_tau_sweep(self):
         taus = (0.05, 0.1, 0.2, 0.3)
         frrs = [estimate_frr(cfg(metric="frr", tau=t, enroll_noise=(0.1,),
-                                 probe_noise=(0.1,), trials=20_000)).hits for t in taus]
-        fars = [estimate_far(cfg(tau=t, trials=20_000)).hits for t in taus]
+                                 probe_noise=(0.1,), trials=20_000))[0].hits for t in taus]
+        fars = [estimate_far(cfg(tau=t, trials=20_000))[0].hits for t in taus]
         assert all(a >= b for a, b in zip(frrs, frrs[1:]))
         assert all(a <= b for a, b in zip(fars, fars[1:]))
 
@@ -403,7 +415,7 @@ class TestBoundConsistency:
             for seed in (1, 2):
                 c = cfg(code=CodeSpec(kind="random", n=20, m=10, seed=seed),
                         tau=tau, trials=50_000, seed=seed)
-                est = estimate_far(c)
+                (est,) = estimate_far(c)
                 points += 1
                 if est.ci_low > far_bound(20, 10, tau):
                     violations += 1
@@ -471,6 +483,15 @@ class TestEquivalence:
             equivalence_report(fc, ss)
 
 
+SWEEP_CASES = [
+    ("frr", {}),
+    ("far", {"scheme": "FC", "keyed": False}),
+    ("sar", {"attack": "coset-sampling", "target": 3, "exposed_S": (1, 2),
+             "exposed_K": (1, 2, 3), "enroll_noise": (0.0,) * 3, "probe_noise": (0.05,) * 3,
+             "code": CodeSpec(kind="preset", name="example4", m=4, seed=5)}),
+]
+
+
 class TestRunExperiment:
     def test_bounds_only_run(self):
         result = run_config(cfg(trials=0))
@@ -512,6 +533,33 @@ class TestRunExperiment:
         for row, tau in zip(sweep.rows, taus):
             (single,) = run_config(cfg(metric=metric, tau=tau, trials=3_000, **extra)).rows
             assert row == dataclasses.replace(single, experiment_id=f"t@tau={tau!r}")
+
+    @pytest.mark.parametrize("metric,extra", SWEEP_CASES)
+    def test_tau_sweep_calls_the_estimator_once(self, monkeypatch, metric, extra):
+        import biosketch.harness as harness
+        calls = []
+        estimator = harness._ESTIMATORS[metric]
+
+        def counting(config, plan=None):
+            calls.append(config.tau)
+            return estimator(config, plan)
+
+        monkeypatch.setitem(harness._ESTIMATORS, metric, counting)
+        taus = (0.05, 0.1, 0.2)
+        result = run_config(cfg(metric=metric, tau=taus, trials=3_000, **extra))
+        assert calls == [taus]
+        assert len(result.rows) == 3
+
+    @pytest.mark.parametrize("trials", [3_000, 70_000])  # 70,000: two full batches and a part
+    @pytest.mark.parametrize("metric,extra", SWEEP_CASES)
+    def test_each_tau_estimate_equals_a_scalar_call(self, metric, extra, trials):
+        import biosketch.harness as harness
+        taus = (0.05, 0.1, 0.2, 0.3)
+        c = cfg(metric=metric, tau=taus, trials=trials, **extra)
+        sweep = harness._ESTIMATORS[metric](c)
+        assert len(sweep) == len(taus)
+        for tau, estimate in zip(taus, sweep):
+            assert (estimate,) == harness._ESTIMATORS[metric](dataclasses.replace(c, tau=tau))
 
     def test_warning_capture(self):
         # tau <= p violates the operating assumptions

@@ -11,7 +11,6 @@ from biosketch.leakage import (
     LeakageReport,
     _mi_from_joint,
     _single_system_joint,
-    check_syndrome_uniformity,
     exact_mutual_info,
     exact_single_system_fits,
     exact_single_system_leakage,
@@ -20,7 +19,11 @@ from biosketch.leakage import (
 )
 from biosketch.multisys import linkage_preset
 from biosketch.schemes import Scheme, SystemParams
-from oracles import brute_force_enrollment_mi, dict_single_system_joint
+from oracles import (
+    brute_force_enrollment_mi,
+    check_syndrome_uniformity,
+    dict_single_system_joint,
+)
 
 FC = Scheme.FUZZY_COMMITMENT
 SS = Scheme.SECURE_SKETCH
